@@ -7,9 +7,10 @@ synchronous federated-averaging coordinator, and a seeded experiment harness
 with a CLI. numpy is the only numerical dependency.
 """
 
+from .agent import Agent, EpisodeReport
 from .baselines import (closed_form_allocation, equal_policy, local_policy,
                         oracle_policy, oracle_slot_optimum)
-from .ddpg import DdpgAgent, DdpgHyperParams, EpisodeReport
+from .ddpg import DdpgAgent, DdpgHyperParams
 from .dqn import DqnAgent, DqnHyperParams, decode_action
 from .env import (ActionConstraintError, ActionVector, CostBreakdown,
                   EnvConfig, EpisodeOverError, FogAccessPoint, FogCellEnv,
@@ -23,8 +24,8 @@ from .federated import (GlobalModel, RoundReport, TrainingResult,
 from .harness import (ExperimentConfig, ExperimentResult, convergence_run,
                       load_config, run_experiment, sweep_fap_cpu, sweep_mds)
 from .nn import (AdamState, FlatWeights, Mlp, adam_step, backward,
-                 concat_flats, flatten_mlp, forward, init_mlp,
-                 load_checkpoint, save_checkpoint, unflatten_mlp)
+                 flatten_mlp, forward, init_mlp, load_checkpoint, pack,
+                 save_checkpoint)
 from .replay import ReplayBuffer, Transition
 
 __version__ = "0.1.0"

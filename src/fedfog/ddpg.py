@@ -32,15 +32,13 @@ An agent of any other shape is plain DDPG on the raw outputs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env import FogCellEnv, md_rotations, sanitize_action
-from .nn import (AdamState, FlatWeights, adam_step, assign_from_flat, backward,
-                 concat_flats, flatten_mlp, forward, init_mlp, mlp_params,
-                 mlp_size)
+from .agent import Agent
+from .env import md_rotations, sanitize_action
+from .nn import AdamState, adam_step, backward, forward, init_mlp, workspace
 from .replay import ReplayBuffer, Transition
 
 
@@ -108,19 +106,11 @@ class DdpgHyperParams:
             raise ValueError("batch_size cannot exceed replay_capacity")
 
 
-@dataclass
-class EpisodeReport:
-    total_reward: float
-    mean_cost: float                # per-slot cell cost
-    mean_delay: float
-    mean_energy: float
-    mean_critic_loss: float
-    updates: int
-    wall_time: float
+class DdpgAgent(Agent):
+    """Actor-critic learner with target networks and a replay ring.
 
-
-class DdpgAgent:
-    """Actor-critic learner with target networks and a replay ring."""
+    Stores: online [actor | critic], targets [target_actor | target_critic].
+    """
 
     def __init__(self, state_dim: int, action_dim: int,
                  hp: DdpgHyperParams | None = None, seed=0):
@@ -133,11 +123,11 @@ class DdpgAgent:
                               output_activation="sigmoid")
         self.critic = init_mlp(self.rng, [state_dim + action_dim, h1, h2, 1],
                                output_activation="linear")
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
-        self.actor_opt = AdamState.for_params(mlp_params(self.actor),
+        self.target_actor, self.target_critic = self._store(self.actor,
+                                                            self.critic)
+        self.actor_opt = AdamState.for_params(self.actor.params,
                                               self.hp.actor_lr)
-        self.critic_opt = AdamState.for_params(mlp_params(self.critic),
+        self.critic_opt = AdamState.for_params(self.critic.params,
                                                self.hp.critic_lr)
         self.buffer = ReplayBuffer(self.hp.replay_capacity, state_dim, action_dim)
         self.noise_std = self.hp.noise_std
@@ -189,8 +179,8 @@ class DdpgAgent:
         q, cache = forward(self.critic, self._critic_input(s, a)[0])
         err = q - y
         loss = float(np.mean(err ** 2))
-        grads, _ = backward(self.critic, cache, 2.0 * err / k)
-        adam_step(mlp_params(self.critic), grads, self.critic_opt)
+        grad, _ = backward(self.critic, cache, 2.0 * err / k)
+        adam_step(self.critic.params, grad, self.critic_opt)
         return loss
 
     def actor_update(self, batch: Transition) -> float:
@@ -207,19 +197,18 @@ class DdpgAgent:
                                  np.full_like(q, 1.0 / k))
         action_grad = pullback(input_grad[:, self.state_dim:])
         rows = np.arange(k)[:, None]
-        grads, _ = backward(self.actor, actor_cache,
-                            action_grad[rows, self._action_rot[rot]])
-        adam_step(mlp_params(self.actor), [-g for g in grads], self.actor_opt)
+        grad, _ = backward(self.actor, actor_cache,
+                           action_grad[rows, self._action_rot[rot]])
+        adam_step(self.actor.params, np.negative(grad, out=grad),
+                  self.actor_opt)
         return objective
 
     def soft_update(self) -> None:
         """Geometric target tracking: theta' <- tau*theta + (1-tau)*theta'."""
         tau = self.hp.tau
-        for target, online in ((self.target_actor, self.actor),
-                               (self.target_critic, self.critic)):
-            for tp, p in zip(mlp_params(target), mlp_params(online)):
-                tp *= 1.0 - tau
-                tp += tau * p
+        self.targets *= 1.0 - tau
+        self.targets += np.multiply(tau, self.online,
+                                    out=workspace(self.online.size))
 
     def update_step(self) -> float | None:
         """One critic + actor + soft update from a sampled batch, if warm."""
@@ -235,67 +224,11 @@ class DdpgAgent:
         self.noise_std = max(self.hp.noise_floor,
                              self.noise_std * self.hp.noise_decay)
 
-    def train_episode(self, env: FogCellEnv) -> EpisodeReport:
-        """Run one episode with exploration, learning after every step."""
-        t0 = time.perf_counter()
-        state = env.reset()
-        steps = env.config.steps_per_episode
-        total_reward = 0.0
-        cost = delay = energy = 0.0
-        losses = []
-        for _ in range(steps):
-            s = env.flatten_state(state)
-            raw = self.select_action(s, explore=True)
-            reward, state = env.step(sanitize_action(decode_shares(raw)))
-            self.buffer.add(s, raw, reward, env.flatten_state(state))
-            total_reward += reward
-            cost += env.last_cost.cost
-            delay += env.last_cost.total_delay
-            energy += env.last_cost.total_energy
-            loss = self.update_step()
-            if loss is not None:
-                losses.append(loss)
-        self.end_episode()
-        return EpisodeReport(total_reward, cost / steps, delay / steps,
-                             energy / steps,
-                             float(np.mean(losses)) if losses else float("nan"),
-                             len(losses), time.perf_counter() - t0)
+    def act(self, state: np.ndarray, explore: bool):
+        """Replay stores the raw actor output; the env gets its decoding."""
+        raw = self.select_action(state, explore)
+        return raw, sanitize_action(decode_shares(raw))
 
-    def policy(self):
-        """Frozen greedy policy suitable for rollout_episode()."""
-        def act(env, state):
-            raw = self.select_action(env.flatten_state(state), explore=False)
-            return sanitize_action(decode_shares(raw))
-        return act
-
-    # Weight exchange: every network flattened in a fixed order.
-    _EXPORT_ORDER = ("actor", "critic", "target_actor", "target_critic")
-
-    def export_weights(self) -> FlatWeights:
-        return concat_flats([flatten_mlp(getattr(self, name))
-                             for name in self._EXPORT_ORDER])
-
-    def _slices(self, flat: FlatWeights) -> list[np.ndarray]:
-        sizes = [mlp_size(getattr(self, name)) for name in self._EXPORT_ORDER]
-        if flat.values.size != sum(sizes):
-            raise ValueError(f"weight vector has {flat.values.size} values, "
-                             f"agent needs {sum(sizes)}")
-        out, off = [], 0
-        for size in sizes:
-            out.append(flat.values[off:off + size])
-            off += size
-        return out
-
-    def load_weights(self, flat: FlatWeights) -> None:
-        """Restore every network exactly as exported (checkpoint restore)."""
-        for name, values in zip(self._EXPORT_ORDER, self._slices(flat)):
-            assign_from_flat(getattr(self, name), values)
-
-    def load_global(self, flat: FlatWeights) -> None:
-        """Adopt broadcast weights: online nets from their slices, targets
-        re-synced to those same online weights."""
-        slices = self._slices(flat)
-        assign_from_flat(self.actor, slices[0])
-        assign_from_flat(self.critic, slices[1])
-        assign_from_flat(self.target_actor, slices[0])
-        assign_from_flat(self.target_critic, slices[1])
+    # Bound here as well as inherited: tracing patches per-class attributes.
+    export_weights = Agent.export_weights
+    load_global = Agent.load_global

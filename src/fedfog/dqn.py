@@ -13,16 +13,13 @@ reward.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ddpg import EpisodeReport
-from .env import FogCellEnv, sanitize_action
-from .nn import (AdamState, FlatWeights, adam_step, assign_from_flat, backward,
-                 concat_flats, flatten_mlp, forward, init_mlp, mlp_params,
-                 mlp_size)
+from .agent import Agent
+from .env import sanitize_action
+from .nn import AdamState, adam_step, backward, forward, init_mlp
 from .replay import ReplayBuffer, Transition
 
 SHARE_LEVELS = 5
@@ -77,8 +74,11 @@ class DqnHyperParams:
             raise ValueError("target_sync_period must be >= 1")
 
 
-class DqnAgent:
-    """Epsilon-greedy Q-learner with factorized per-MD action heads."""
+class DqnAgent(Agent):
+    """Epsilon-greedy Q-learner with factorized per-MD action heads.
+
+    Stores: online [net], targets [target].
+    """
 
     def __init__(self, state_dim: int, num_mds: int,
                  hp: DqnHyperParams | None = None, seed=0):
@@ -90,8 +90,8 @@ class DqnAgent:
         self.net = init_mlp(self.rng,
                             [state_dim, h1, h2, num_mds * ACTIONS_PER_MD],
                             output_activation="linear")
-        self.target = self.net.copy()
-        self.opt = AdamState.for_params(mlp_params(self.net), self.hp.lr)
+        (self.target,) = self._store(self.net)
+        self.opt = AdamState.for_params(self.net.params, self.hp.lr)
         self.buffer = ReplayBuffer(self.hp.replay_capacity, state_dim, num_mds)
         self.epsilon = self.hp.epsilon_start
         self._updates = 0
@@ -128,78 +128,29 @@ class DqnAgent:
         grad_out[rows, cols] = 2.0 * err / k
         if not np.all(np.isfinite(loss)):
             raise FloatingPointError("non-finite TD loss")
-        grads, _ = backward(self.net, cache, grad_out)
-        adam_step(mlp_params(self.net), grads, self.opt)
+        grad, _ = backward(self.net, cache, grad_out)
+        adam_step(self.net.params, grad, self.opt)
         self._updates += 1
         if self._updates % self.hp.target_sync_period == 0:
             self.sync_target()
         return loss
 
-    def sync_target(self) -> None:
-        for tp, p in zip(mlp_params(self.target), mlp_params(self.net)):
-            tp[...] = p
-
     def end_episode(self) -> None:
         self.epsilon = max(self.hp.epsilon_floor,
                            self.epsilon * self.hp.epsilon_decay)
 
-    def train_episode(self, env: FogCellEnv) -> EpisodeReport:
-        t0 = time.perf_counter()
-        state = env.reset()
-        steps = env.config.steps_per_episode
-        total_reward = 0.0
-        cost = delay = energy = 0.0
-        losses = []
-        for _ in range(steps):
-            s = env.flatten_state(state)
-            indices = self.select(s, self.epsilon)
-            raw = decode_action(indices, self.num_mds)
-            reward, state = env.step(sanitize_action(raw))
-            self.buffer.add(s, indices.astype(float), reward,
-                            env.flatten_state(state))
-            total_reward += reward
-            cost += env.last_cost.cost
-            delay += env.last_cost.total_delay
-            energy += env.last_cost.total_energy
-            if len(self.buffer) >= self.hp.batch_size:
-                losses.append(self.td_update(
-                    self.buffer.sample(self.hp.batch_size, self.rng)))
-        self.end_episode()
-        return EpisodeReport(total_reward, cost / steps, delay / steps,
-                             energy / steps,
-                             float(np.mean(losses)) if losses else float("nan"),
-                             len(losses), time.perf_counter() - t0)
+    def update_step(self) -> float | None:
+        """One TD update from a sampled batch, if warm."""
+        if len(self.buffer) < self.hp.batch_size:
+            return None
+        return self.td_update(self.buffer.sample(self.hp.batch_size, self.rng))
 
-    def policy(self):
-        """Frozen greedy policy suitable for rollout_episode()."""
-        def act(env, state):
-            indices = self.select(env.flatten_state(state), epsilon=0.0)
-            return sanitize_action(decode_action(indices, self.num_mds))
-        return act
+    def act(self, state: np.ndarray, explore: bool):
+        """Replay stores the catalog indices; the env gets their decoding."""
+        indices = self.select(state, self.epsilon if explore else 0.0)
+        return (indices.astype(float),
+                sanitize_action(decode_action(indices, self.num_mds)))
 
-    _EXPORT_ORDER = ("net", "target")
-
-    def export_weights(self) -> FlatWeights:
-        return concat_flats([flatten_mlp(getattr(self, name))
-                             for name in self._EXPORT_ORDER])
-
-    def _slices(self, flat: FlatWeights) -> list[np.ndarray]:
-        sizes = [mlp_size(getattr(self, name)) for name in self._EXPORT_ORDER]
-        if flat.values.size != sum(sizes):
-            raise ValueError(f"weight vector has {flat.values.size} values, "
-                             f"agent needs {sum(sizes)}")
-        out, off = [], 0
-        for size in sizes:
-            out.append(flat.values[off:off + size])
-            off += size
-        return out
-
-    def load_weights(self, flat: FlatWeights) -> None:
-        for name, values in zip(self._EXPORT_ORDER, self._slices(flat)):
-            assign_from_flat(getattr(self, name), values)
-
-    def load_global(self, flat: FlatWeights) -> None:
-        """Adopt broadcast weights; the target re-syncs to the online net."""
-        slices = self._slices(flat)
-        assign_from_flat(self.net, slices[0])
-        assign_from_flat(self.target, slices[0])
+    # Bound here as well as inherited: tracing patches per-class attributes.
+    export_weights = Agent.export_weights
+    load_global = Agent.load_global

@@ -85,7 +85,6 @@ class EnvConfig:
     steps_per_episode: int = 50
     rng_seed: int = 0
     max_move_per_slot: float = 5.0      # m, uniform step length bound
-    fap_antennas: int = 8               # larger than mds_per_fap; no cost term uses it
 
     def __post_init__(self):
         for name in ("cell_side", "bandwidth", "fap_cpu", "noise_power",

@@ -1,8 +1,9 @@
 """Synchronous federated training across per-FAP agents.
 
 Each round every agent downloads the global weights, trains locally on its
-own cell, and uploads its weights; the coordinator element-wise averages the
-uploads and broadcasts the result. Only flat weight vectors ever cross the
+own cell, and uploads its online networks; the coordinator element-wise
+averages the uploads and broadcasts the result, and each agent resets its
+target networks to the broadcast. Only flat weight vectors ever cross the
 agent boundary: transitions, states, and task data stay local, and so do the
 optimizer moments and replay buffers (averaging moments across agents has no
 sound interpretation, and clearing replay every round would throw away nearly
@@ -161,25 +162,18 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
                  checkpoint_every: int = 0) -> TrainingResult:
     """Full federated run: `rounds` rounds of run_round from a fresh setup.
 
-    When episodes_per_round is 0 every round is a pure broadcast/average
-    cycle and the global weights are unchanged. During the final
-    `eval_last_rounds` rounds the freshly averaged global policy is also
-    evaluated greedily on held-out episodes and recorded as eval_cost.
+    During the final `eval_last_rounds` rounds the freshly averaged global
+    policy is also evaluated greedily on held-out episodes and recorded as
+    eval_cost.
     With a checkpoint_dir the final global model is always written; setting
     checkpoint_every > 0 additionally snapshots every k-th round.
     """
+    if episodes_per_round < 1:
+        raise ValueError("episodes_per_round must be >= 1")
     agents, envs, eval_envs, model = setup_federation(
         env_cfg, agent_kind, seed, ddpg_hp, dqn_hp)
     reports = []
     for j in range(rounds):
-        if episodes_per_round == 0:
-            for agent in agents:
-                agent.load_global(model.weights)
-            uploads = [agent.export_weights() for agent in agents]
-            model = GlobalModel(federated_average(uploads), j + 1, agent_kind)
-            reports.append(RoundReport(j + 1, [0.0] * len(agents),
-                                       0.0, 0.0, 0.0, 0.0))
-            continue
         model, report = run_round(agents, envs, model, episodes_per_round)
         if eval_last_rounds and j >= rounds - eval_last_rounds:
             metrics = evaluate_global(model, env_cfg, eval_envs,
@@ -241,7 +235,9 @@ def save_round_checkpoint(path, model: GlobalModel) -> None:
 
 def load_round_checkpoint(path) -> GlobalModel:
     flat, meta = load_checkpoint(path)
-    if meta.get("layout_hash") and meta["layout_hash"] != flat.layout_hash():
+    for key in ("round", "agent_kind", "layout_hash"):
+        if key not in meta:
+            raise ValueError(f"{path} lacks checkpoint meta key {key!r}")
+    if meta["layout_hash"] != flat.layout_hash():
         raise ValueError("checkpoint layout hash mismatch")
-    return GlobalModel(flat, int(meta.get("round", 0)),
-                       str(meta.get("agent_kind", "ddpg")))
+    return GlobalModel(flat, int(meta["round"]), str(meta["agent_kind"]))

@@ -213,6 +213,12 @@ def _round12(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
+def _seed_stats(values) -> list[float]:
+    """Mean and population std over seeds, each rounded to 12 digits."""
+    vals = np.array(values)
+    return [_round12(vals.mean()), _round12(vals.std())]
+
+
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
@@ -336,8 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for j in range(cfg.rounds):
             row = [kind, per_seed[0][j][0]]
             for col in range(1, 5):
-                vals = np.array([rows[j][col] for rows in per_seed])
-                row += [_round12(vals.mean()), _round12(vals.std())]
+                row += _seed_stats([rows[j][col] for rows in per_seed])
             agg_rows.append(tuple(row))
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
     write_csv(agg_path, agg_header, agg_rows)
@@ -353,9 +358,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for kind in cfg.agent_kinds:
         row = [kind]
         for col in range(4):
-            vals = np.array([runs[(kind, s)].final_eval[col]
-                             for s in cfg.seeds])
-            row += [_round12(vals.mean()), _round12(vals.std())]
+            row += _seed_stats([runs[(kind, s)].final_eval[col]
+                                for s in cfg.seeds])
         eval_agg_rows.append(tuple(row))
     eval_agg_path = os.path.join(cfg.out_dir, "eval-aggregate.csv")
     write_csv(eval_agg_path, agg_header[:1] + agg_header[2:], eval_agg_rows)
@@ -383,8 +387,7 @@ def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
                 per_run_rows.append((value, kind, s, *ev))
             agg = [value, kind]
             for col in range(4):
-                vals = np.array([ev[col] for ev in evals])
-                agg += [_round12(vals.mean()), _round12(vals.std())]
+                agg += _seed_stats([ev[col] for ev in evals])
             agg_rows.append(tuple(agg))
     header = [label, "kind", "seed", *_AGG_METRICS]
     agg_header = [label, "kind"]
@@ -418,9 +421,8 @@ def convergence_run(cfg: ExperimentConfig):
     for kind in cfg.agent_kinds:
         per_seed = [result.runs[(kind, s)].rows for s in cfg.seeds]
         for j in range(cfg.rounds):
-            vals = np.array([r[j][1] for r in per_seed])
             rows.append((kind, per_seed[0][j][0],
-                         _round12(vals.mean()), _round12(vals.std())))
+                         *_seed_stats([r[j][1] for r in per_seed])))
     path = os.path.join(cfg.out_dir, "convergence.csv")
     write_csv(path, ["kind", "round", "mean_reward_mean", "mean_reward_std"],
               rows)

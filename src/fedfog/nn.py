@@ -18,16 +18,40 @@ import numpy as np
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 _CKPT_MAGIC = b"FWCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2       # 2: online nets only; 1 also stored the target nets
 
 
 @dataclass
 class Mlp:
-    """Per-layer weights (in, out), biases (out,), and activation names."""
+    """Per-layer weights (in, out), biases (out,), and activation names.
+
+    All parameters live in one contiguous f64 vector `params`, in the order
+    [W0, b0, W1, b1, ...]; every weight and bias is a view into it. The
+    constructor copies the given arrays into a fresh vector. `grad` is the
+    buffer backward() writes, laid out like `params` and made on first use.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
+    params: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.bind(np.empty(sum(w.size + b.size
+                               for w, b in zip(self.weights, self.biases))))
+
+    def bind(self, params: np.ndarray) -> None:
+        """Copy the parameters into `params` and keep them there."""
+        views, off = [], 0
+        for w, b in zip(self.weights, self.biases):
+            for a in (w, b):
+                view = params[off:off + a.size].reshape(a.shape)
+                view[...] = a
+                views.append(view)
+                off += a.size
+        self.params = params
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def input_dim(self) -> int:
@@ -38,28 +62,51 @@ class Mlp:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases],
-                   list(self.activations))
+        return Mlp(self.weights, self.biases, list(self.activations))
+
+
+def pack(*nets: Mlp) -> np.ndarray:
+    """Move the parameters of `nets` into one new vector, in order."""
+    store = np.empty(sum(net.params.size for net in nets))
+    off = 0
+    for net in nets:
+        size = net.params.size
+        net.bind(store[off:off + size])
+        off += size
+    return store
+
+
+_work = np.empty(0)
+
+
+def workspace(size: int) -> np.ndarray:
+    """Scratch vector shared by the in-place updates of this process.
+
+    Its contents do not outlive the call that asked for it. Agents run one
+    at a time in a process, so the sharing is safe and keeps the memory of
+    one scratch vector instead of one per network.
+    """
+    global _work
+    if _work.size < size:
+        _work = np.empty(size)
+    return _work[:size]
 
 
 @dataclass
 class AdamState:
-    """Adam moments for one parameter list, in mlp_params() order."""
+    """Adam moments for one flat parameter vector."""
 
     lr: float
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
-        return cls(lr=lr,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
+        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 @dataclass
@@ -67,7 +114,7 @@ class FlatWeights:
     """All parameters of one or more networks as a single f64 vector.
 
     `shapes` and `offsets` describe where each array lives in `values`;
-    `activations` records the layer activations so an Mlp round-trips.
+    `activations` lists the layer activations of every network in order.
     """
 
     values: np.ndarray
@@ -165,9 +212,10 @@ def forward(net: Mlp, x: np.ndarray):
 def backward(net: Mlp, cache, output_grad: np.ndarray):
     """Exact gradients of a scalar loss given dL/d(output).
 
-    Returns (param_grads, input_grad) with param_grads in mlp_params() order
-    [W0, b0, W1, b1, ...]. `output_grad` must carry any batch averaging; the
-    parameter gradients are summed over the batch rows.
+    Returns (param_grad, input_grad). param_grad is one flat vector laid out
+    like `net.params`; it is the net's own buffer, overwritten by the next
+    backward through the same net. `output_grad` must carry any batch
+    averaging; the parameter gradients are summed over the batch rows.
     """
     g = np.asarray(output_grad, dtype=float)
     if cache["single"]:
@@ -177,108 +225,67 @@ def backward(net: Mlp, cache, output_grad: np.ndarray):
     if len(cache["zs"]) != len(net.weights) or any(
             z.shape[1] != w.shape[1] for z, w in zip(cache["zs"], net.weights)):
         raise ValueError("cache does not match this network")
-    grads: list[np.ndarray] = [None] * (2 * len(net.weights))
+    if net.grad is None:
+        net.grad = np.empty_like(net.params)
+    end = net.grad.size
     for i in range(len(net.weights) - 1, -1, -1):
+        w = net.weights[i]
         dz = g * _activation_grad(net.activations[i], cache["zs"][i],
                                   cache["outs"][i])
-        grads[2 * i] = cache["inputs"][i].T @ dz
-        grads[2 * i + 1] = dz.sum(axis=0)
-        g = dz @ net.weights[i].T
+        dz.sum(axis=0, out=net.grad[end - w.shape[1]:end])
+        end -= w.shape[1] + w.size
+        np.matmul(cache["inputs"][i].T, dz,
+                  out=net.grad[end:end + w.size].reshape(w.shape))
+        g = dz @ w.T
     input_grad = g[0] if cache["single"] else g
-    return grads, input_grad
+    return net.grad, input_grad
 
 
-def mlp_params(net: Mlp) -> list[np.ndarray]:
-    """Live parameter arrays in the order backward() reports gradients."""
-    params = []
-    for w, b in zip(net.weights, net.biases):
-        params.extend((w, b))
-    return params
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place on the flat `params`.
 
-
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on `params`."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state lengths differ")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order in
+    workspace memory.
+    """
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ValueError("params/grad/state sizes differ")
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    work = workspace(2 * params.size)
+    step, denom = work[:params.size], work[params.size:]
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += np.multiply(1.0 - state.beta1, grad, out=step)
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, grad, out=denom)
+    denom *= grad
+    v += denom
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    step /= denom
+    params -= step
 
 
-def flatten_mlp(net: Mlp) -> FlatWeights:
-    """Pack weights and biases (layer order, W before b) into one vector."""
-    arrays = mlp_params(net)
-    shapes = [a.shape for a in arrays]
-    offsets = []
+def flatten_mlp(*nets: Mlp) -> FlatWeights:
+    """Copy the parameters of `nets`, in order, into one FlatWeights."""
+    shapes, offsets, activations = [], [], []
     off = 0
-    for a in arrays:
-        offsets.append(off)
-        off += a.size
-    values = np.concatenate([a.reshape(-1) for a in arrays]) if arrays else np.zeros(0)
-    return FlatWeights(values, shapes, offsets, list(net.activations))
-
-
-def unflatten_mlp(flat: FlatWeights) -> Mlp:
-    """Inverse of flatten_mlp; bit-exact round trip."""
-    if len(flat.shapes) != 2 * len(flat.activations):
-        raise ValueError("layout does not describe an MLP "
-                         "(need one weight and one bias per layer)")
-    arrays = _split_arrays(flat)
-    weights = arrays[0::2]
-    biases = arrays[1::2]
-    for w, b in zip(weights, biases):
-        if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-            raise ValueError("layout shapes are not MLP layer shapes")
-    return Mlp(weights, biases, list(flat.activations))
-
-
-def _split_arrays(flat: FlatWeights) -> list[np.ndarray]:
-    arrays = []
-    for shape, off in zip(flat.shapes, flat.offsets):
-        size = int(np.prod(shape)) if shape else 1
-        if off + size > flat.values.size:
-            raise ValueError("layout exceeds the value vector")
-        arrays.append(flat.values[off:off + size].reshape(shape).copy())
-    return arrays
-
-
-def concat_flats(flats: list[FlatWeights]) -> FlatWeights:
-    """Join several FlatWeights into one (e.g. every network of an agent)."""
-    values = np.concatenate([f.values for f in flats])
-    shapes, offsets, acts = [], [], []
-    base = 0
-    for f in flats:
-        shapes.extend(f.shapes)
-        offsets.extend(off + base for off in f.offsets)
-        acts.extend(f.activations)
-        base += f.values.size
-    return FlatWeights(values, shapes, offsets, acts)
-
-
-def assign_from_flat(net: Mlp, values: np.ndarray) -> None:
-    """Overwrite `net`'s parameters from a flat slice in flatten order."""
-    off = 0
-    for p in mlp_params(net):
-        p[...] = values[off:off + p.size].reshape(p.shape)
-        off += p.size
-    if off != values.size:
-        raise ValueError(f"flat slice has {values.size} values, "
-                         f"network needs {off}")
-
-
-def mlp_size(net: Mlp) -> int:
-    return sum(p.size for p in mlp_params(net))
+    for net in nets:
+        for w, b in zip(net.weights, net.biases):
+            for a in (w, b):
+                shapes.append(a.shape)
+                offsets.append(off)
+                off += a.size
+        activations.extend(net.activations)
+    values = np.concatenate([net.params for net in nets])
+    return FlatWeights(values, shapes, offsets, activations)
 
 
 def save_checkpoint(path, flat: FlatWeights, meta: dict | None = None) -> None:
@@ -305,7 +312,8 @@ def load_checkpoint(path) -> tuple[FlatWeights, dict]:
             raise ValueError(f"{path} is not a weight checkpoint")
         (version,) = struct.unpack("<I", fh.read(4))
         if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"{path} has checkpoint version {version}; this "
+                             f"build reads version {_CKPT_VERSION} only")
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode())
         (count,) = struct.unpack("<Q", fh.read(8))

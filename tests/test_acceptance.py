@@ -24,8 +24,7 @@ from fedfog.federated import (build_agent, evaluate_policy,
                               federated_average, make_eval_envs, run_training)
 from fedfog.harness import (ExperimentConfig, rounds_to_threshold,
                             sweep_fap_cpu, sweep_mds)
-from fedfog.nn import (assign_from_flat, backward, flatten_mlp, forward,
-                       init_mlp)
+from fedfog.nn import backward, flatten_mlp, forward, init_mlp
 from oracles import (central_difference, grid_min_weighted_inverse,
                      grid_slot_optimum, grid_slot_optimum_joint,
                      nearest_grid_point, straight_line_slot_cost)
@@ -148,12 +147,12 @@ def test_criterion_3_gradient_correctness(capsys):
         flat0 = flatten_mlp(net).values.copy()
 
         def scalar_loss(values):
-            assign_from_flat(net, values)
+            net.params[...] = values
             out, _ = forward(net, x)
             return float(np.sum(out * c))
 
         fd = central_difference(scalar_loss, flat0.copy())
-        assign_from_flat(net, flat0)
+        net.params[...] = flat0
         rel = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)),
                                                   1e-10)
         worst = max(worst, float(rel))

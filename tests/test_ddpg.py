@@ -8,7 +8,7 @@ from fedfog.ddpg import (DdpgAgent, DdpgHyperParams, decode_shares,
                          share_features)
 from fedfog.env import (EnvConfig, FogCellEnv, flatten_state, md_rotations,
                         rollout_episode, sanitize_action)
-from fedfog.nn import forward, mlp_params
+from fedfog.nn import forward
 from fedfog.replay import Transition
 
 
@@ -216,8 +216,9 @@ class TestRotations:
             return agent.actor_update(batch)
 
         objective()
-        ascent = -captured[0][-2]           # d objective / d output weights
-        w = agent.actor.weights[-1]
+        w, b = agent.actor.weights[-1], agent.actor.biases[-1]
+        # d objective / d output weights
+        ascent = -captured[0][-w.size - b.size:-b.size].reshape(w.shape)
         h = 1e-6
         for idx in [(0, 0), (3, 4), (7, 8), (5, 2)]:
             w0 = w[idx]
@@ -285,11 +286,10 @@ class TestActorUpdate:
         agent = make_agent(state_dim=2, action_dim=2, seed=6)
         for w in agent.critic.weights:
             w[:] = 0.0
-        before = [p.copy() for p in mlp_params(agent.actor)]
+        before = agent.actor.params.copy()
         agent.actor_update(Transition(np.random.default_rng(7).uniform(size=(8, 2)),
                                       None, None, None))
-        for p, b in zip(mlp_params(agent.actor), before):
-            np.testing.assert_array_equal(p, b)
+        np.testing.assert_array_equal(agent.actor.params, before)
 
     def test_actor_climbs_handbuilt_q_peak(self):
         # critic computes Q = -|a - 0.3| regardless of state, built from two
@@ -314,21 +314,19 @@ class TestActorUpdate:
 
     def test_critic_untouched_by_actor_step(self):
         agent = make_agent(state_dim=2, action_dim=1, seed=9)
-        before = [p.copy() for p in mlp_params(agent.critic)]
+        before = agent.critic.params.copy()
         agent.actor_update(Transition(np.random.default_rng(10).uniform(size=(4, 2)),
                                       None, None, None))
-        for p, b in zip(mlp_params(agent.critic), before):
-            np.testing.assert_array_equal(p, b)
+        np.testing.assert_array_equal(agent.critic.params, before)
 
 
 class TestSoftUpdate:
     def test_tau_one_copies_online(self):
         agent = make_agent(state_dim=2, action_dim=1, seed=11, tau=1.0)
-        for p in mlp_params(agent.actor):
-            p += 0.5
+        agent.actor.params += 0.5
         agent.soft_update()
-        for tp, p in zip(mlp_params(agent.target_actor), mlp_params(agent.actor)):
-            np.testing.assert_allclose(tp, p, rtol=1e-15)
+        np.testing.assert_allclose(agent.target_actor.params,
+                                   agent.actor.params, rtol=1e-15)
 
     def test_blend_arithmetic(self):
         agent = make_agent(state_dim=1, action_dim=1, seed=12, tau=0.25)
@@ -421,28 +419,51 @@ class TestWeightExchange:
         agent = make_agent(state_dim=3, action_dim=2, seed=20)
         flat = agent.export_weights()
         other = make_agent(state_dim=3, action_dim=2, seed=21)
-        other.load_weights(flat)
+        other.load_global(flat)
         np.testing.assert_array_equal(other.export_weights().values, flat.values)
 
     def test_load_global_resyncs_targets(self):
         src = make_agent(state_dim=3, action_dim=2, seed=22)
         # drift the source targets away from its online nets
-        for p in mlp_params(src.target_actor):
-            p += 1.0
+        src.target_actor.params += 1.0
         flat = src.export_weights()
         dst = make_agent(state_dim=3, action_dim=2, seed=23)
         dst.load_global(flat)
-        for tp, p in zip(mlp_params(dst.target_actor), mlp_params(dst.actor)):
-            np.testing.assert_array_equal(tp, p)
-        for tp, p in zip(mlp_params(dst.target_critic), mlp_params(dst.critic)):
-            np.testing.assert_array_equal(tp, p)
+        np.testing.assert_array_equal(dst.target_actor.params, dst.actor.params)
+        np.testing.assert_array_equal(dst.target_critic.params,
+                                      dst.critic.params)
         np.testing.assert_array_equal(dst.actor.weights[0], src.actor.weights[0])
 
     def test_wrong_size_rejected(self):
         agent = make_agent(state_dim=3, action_dim=2, seed=24)
         small = make_agent(state_dim=2, action_dim=1, seed=25)
         with pytest.raises(ValueError):
-            agent.load_weights(small.export_weights())
+            agent.load_global(small.export_weights())
+
+    def test_upload_holds_online_nets_only(self):
+        agent = make_agent(state_dim=3, action_dim=2, seed=26)
+        agent.target_actor.params += 1.0
+        flat = agent.export_weights()
+        np.testing.assert_array_equal(
+            flat.values, np.concatenate([agent.actor.params,
+                                         agent.critic.params]))
+        assert flat.activations == (agent.actor.activations
+                                    + agent.critic.activations)
+
+    def test_load_global_sets_every_target_to_its_online_value(self):
+        agent = make_agent(state_dim=3, action_dim=2, seed=27)
+        for _ in range(3):
+            agent.soft_update()
+        flat = agent.export_weights()
+        flat.values += np.random.default_rng(28).normal(size=flat.values.size)
+        agent.load_global(flat)
+        np.testing.assert_array_equal(agent.online, flat.values)
+        np.testing.assert_array_equal(agent.targets, agent.online)
+        for target, online in ((agent.target_actor, agent.actor),
+                               (agent.target_critic, agent.critic)):
+            for tw, w in zip(target.weights + target.biases,
+                             online.weights + online.biases):
+                np.testing.assert_array_equal(tw, w)
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from fedfog.dqn import ACTIONS_PER_MD, SHARE_LEVELS, DqnAgent, DqnHyperParams, decode_action
 from fedfog.env import EnvConfig, FogCellEnv
-from fedfog.nn import forward, mlp_params
+from fedfog.nn import forward
 from fedfog.replay import Transition
 
 
@@ -180,8 +180,7 @@ class TestTdUpdate:
                            np.array([1.0]), np.ones((1, 2)))
 
         def nets_equal():
-            return all(np.array_equal(tp, p) for tp, p in
-                       zip(mlp_params(agent.target), mlp_params(agent.net)))
+            return np.array_equal(agent.target.params, agent.net.params)
 
         agent.td_update(batch)
         assert not nets_equal()
@@ -192,11 +191,9 @@ class TestTdUpdate:
 
     def test_sync_target_copies_exactly(self):
         agent = DqnAgent(3, 2, tiny_hp(), seed=11)
-        for p in mlp_params(agent.net):
-            p += 0.25
+        agent.net.params += 0.25
         agent.sync_target()
-        for tp, p in zip(mlp_params(agent.target), mlp_params(agent.net)):
-            np.testing.assert_array_equal(tp, p)
+        np.testing.assert_array_equal(agent.target.params, agent.net.params)
 
 
 class TestTrainingLoop:
@@ -227,13 +224,18 @@ class TestTrainingLoop:
 
     def test_load_global_resyncs_target(self):
         src = DqnAgent(3, 2, tiny_hp(), seed=16)
-        for p in mlp_params(src.target):
-            p += 1.0
+        src.target.params += 1.0
         dst = DqnAgent(3, 2, tiny_hp(), seed=17)
         dst.load_global(src.export_weights())
-        for tp, p in zip(mlp_params(dst.target), mlp_params(dst.net)):
-            np.testing.assert_array_equal(tp, p)
+        np.testing.assert_array_equal(dst.target.params, dst.net.params)
         np.testing.assert_array_equal(dst.net.weights[0], src.net.weights[0])
+
+    def test_upload_holds_online_net_only(self):
+        agent = DqnAgent(3, 2, tiny_hp(), seed=18)
+        agent.target.params += 1.0
+        flat = agent.export_weights()
+        np.testing.assert_array_equal(flat.values, agent.net.params)
+        assert flat.activations == agent.net.activations
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Weight averaging and the synchronous round protocol."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,16 +140,10 @@ class TestRounds:
         assert [r.round_index for r in res.reports] == [1, 2, 3]
         assert res.global_model.round_index == 3
 
-    def test_broadcast_only_rounds_fix_weights(self):
-        # zero episodes per round: every round re-averages identical copies,
-        # so the global weights must be bit-stable
-        cfg = small_env()
-        res = run_training(cfg, "ddpg", seed=2, rounds=4,
-                           episodes_per_round=0, ddpg_hp=small_ddpg())
-        _, _, _, fresh = setup_federation(cfg, "ddpg", seed=2,
-                                          ddpg_hp=small_ddpg())
-        np.testing.assert_array_equal(res.global_model.weights.values,
-                                      fresh.weights.values)
+    def test_zero_episodes_per_round_rejected(self):
+        with pytest.raises(ValueError, match="episodes_per_round"):
+            run_training(small_env(), "ddpg", seed=2, rounds=4,
+                         episodes_per_round=0, ddpg_hp=small_ddpg())
 
     def test_training_is_deterministic(self):
         cfg = small_env()
@@ -274,4 +270,40 @@ class TestCheckpoints:
         save_checkpoint(path, flat, meta={"round": 1, "agent_kind": "ddpg",
                                           "layout_hash": "not-a-real-hash"})
         with pytest.raises(ValueError, match="layout hash"):
+            load_round_checkpoint(path)
+
+    def test_version_1_file_refused(self, tmp_path):
+        rng = np.random.default_rng(16)
+        model = GlobalModel(flatten_mlp(init_mlp(rng, [3, 4, 2], "linear")),
+                            1, "ddpg")
+        path = tmp_path / "model.ckpt"
+        save_round_checkpoint(path, model)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="version 1"):
+            load_round_checkpoint(path)
+
+    @pytest.mark.parametrize("missing", ["round", "agent_kind", "layout_hash"])
+    def test_missing_meta_key_refused(self, tmp_path, missing):
+        from fedfog.nn import save_checkpoint
+
+        flat = flatten_mlp(init_mlp(np.random.default_rng(17), [3, 4, 2],
+                                    "linear"))
+        meta = {"round": 1, "agent_kind": "dqn",
+                "layout_hash": flat.layout_hash()}
+        del meta[missing]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, flat, meta=meta)
+        with pytest.raises(ValueError, match=missing):
+            load_round_checkpoint(path)
+
+    def test_file_without_meta_refused(self, tmp_path):
+        from fedfog.nn import save_checkpoint
+
+        flat = flatten_mlp(init_mlp(np.random.default_rng(18), [3, 4, 2],
+                                    "linear"))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, flat)
+        with pytest.raises(ValueError, match="round"):
             load_round_checkpoint(path)

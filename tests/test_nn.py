@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fedfog.nn import (AdamState, Mlp, adam_step, backward, concat_flats,
-                       flatten_mlp, forward, init_mlp, load_checkpoint,
-                       mlp_params, mlp_size, save_checkpoint, unflatten_mlp)
+from fedfog.nn import (AdamState, Mlp, adam_step, backward, flatten_mlp,
+                       forward, init_mlp, load_checkpoint, pack,
+                       save_checkpoint)
 from oracles import central_difference, count_params
 
 
@@ -78,9 +78,8 @@ class TestBackward:
         net = make_net(rng, (4, 9, 3), "sigmoid")
         x = rng.normal(size=(6, 4))
         out, cache = forward(net, x)
-        grads, input_grad = backward(net, cache, np.zeros_like(out))
-        for g in grads:
-            assert not np.any(g)
+        grad, input_grad = backward(net, cache, np.zeros_like(out))
+        assert not np.any(grad)
         assert not np.any(input_grad)
 
     def test_single_linear_neuron_closed_form(self):
@@ -91,10 +90,10 @@ class TestBackward:
         x = np.array([1.0, 2.0, -3.0])
         target = 1.5
         pred, cache = forward(net, x)
-        grads, _ = backward(net, cache, 2.0 * (pred - target))
+        grad, _ = backward(net, cache, 2.0 * (pred - target))
         expect = 2.0 * (float(pred[0]) - target) * x
-        np.testing.assert_allclose(grads[0].reshape(-1), expect, rtol=1e-12)
-        assert grads[1][0] == pytest.approx(2.0 * (float(pred[0]) - target))
+        np.testing.assert_allclose(grad[:3], expect, rtol=1e-12)
+        assert grad[3] == pytest.approx(2.0 * (float(pred[0]) - target))
 
     @pytest.mark.parametrize("out_act,seed",
                              [("linear", 101), ("sigmoid", 202), ("relu", 303)])
@@ -116,12 +115,13 @@ class TestBackward:
                 return float(np.sum(w * out))
 
             out, cache = forward(net, x)
-            grads, input_grad = backward(net, cache, w)
-            params = mlp_params(net)
+            grad, input_grad = backward(net, cache, w)
             worst = 0.0
-            for p, g in zip(params, grads):
+            off = 0
+            for p in (a for pair in zip(net.weights, net.biases) for a in pair):
                 flat_p = p.reshape(-1)
-                flat_g = g.reshape(-1)
+                flat_g = grad[off:off + p.size]
+                off += p.size
                 for i in range(0, flat_p.size, max(1, flat_p.size // 5)):
                     orig = flat_p[i]
                     flat_p[i] = orig + 1e-5
@@ -159,58 +159,105 @@ class TestBackward:
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        params = [np.array([1.0])]
+        params = np.array([1.0])
         state = AdamState.for_params(params, lr=0.001)
-        adam_step(params, [np.array([1.0])], state)
-        assert params[0][0] == pytest.approx(1.0 - 0.001, abs=1e-8)
+        adam_step(params, np.array([1.0]), state)
+        assert params[0] == pytest.approx(1.0 - 0.001, abs=1e-8)
 
     def test_zero_gradient_fixed_point(self):
         rng = np.random.default_rng(19)
-        params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-        before = [p.copy() for p in params]
+        params = rng.normal(size=8)
+        before = params.copy()
         state = AdamState.for_params(params, lr=0.01)
         for _ in range(5):
-            adam_step(params, [np.zeros_like(p) for p in params], state)
-        for p, b in zip(params, before):
-            np.testing.assert_array_equal(p, b)
+            adam_step(params, np.zeros_like(params), state)
+        np.testing.assert_array_equal(params, before)
 
     def test_deterministic(self):
         rng = np.random.default_rng(20)
-        grads = [rng.normal(size=(4, 4)), rng.normal(size=4)]
+        grad = rng.normal(size=20)
         results = []
         for _ in range(2):
-            params = [np.ones((4, 4)), np.ones(4)]
+            params = np.ones(20)
             state = AdamState.for_params(params, lr=0.05)
             for _ in range(10):
-                adam_step(params, grads, state)
-            results.append([p.copy() for p in params])
-        for a, b in zip(*results):
-            np.testing.assert_array_equal(a, b)
+                adam_step(params, grad, state)
+            results.append(params.copy())
+        np.testing.assert_array_equal(*results)
 
     def test_nonfinite_gradient_rejected(self):
-        params = [np.ones(2)]
+        params = np.ones(2)
         state = AdamState.for_params(params, lr=0.01)
         with pytest.raises(FloatingPointError):
-            adam_step(params, [np.array([np.nan, 0.0])], state)
+            adam_step(params, np.array([np.nan, 0.0]), state)
 
     def test_descends_quadratic(self):
-        params = [np.array([5.0])]
+        params = np.array([5.0])
         state = AdamState.for_params(params, lr=0.1)
         for _ in range(500):
-            adam_step(params, [2.0 * params[0]], state)
-        assert abs(params[0][0]) < 0.05
+            adam_step(params, 2.0 * params, state)
+        assert abs(params[0]) < 0.05
+
+    def test_matches_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        params = rng.normal(size=30)
+        p, m, v = params.copy(), np.zeros(30), np.zeros(30)
+        state = AdamState.for_params(params, lr=0.01)
+        for t in range(1, 6):
+            g = rng.normal(size=30)
+            adam_step(params, g, state)
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * g * g
+            p = p - 0.01 * (m / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        np.testing.assert_array_equal(params, p)
+
+    def test_size_mismatch_rejected(self):
+        state = AdamState.for_params(np.ones(3), lr=0.01)
+        with pytest.raises(ValueError):
+            adam_step(np.ones(3), np.ones(2), state)
+
+
+class TestParamStore:
+    def test_weights_and_biases_are_views_of_params(self):
+        net = make_net(np.random.default_rng(23), (3, 4, 2), "sigmoid")
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, net.params)
+        net.params[:] = np.arange(net.params.size)
+        np.testing.assert_array_equal(net.weights[0].ravel(), np.arange(12))
+        np.testing.assert_array_equal(net.biases[0], np.arange(12, 16))
+        net.biases[-1][:] = -1.0
+        np.testing.assert_array_equal(net.params[-2:], -1.0)
+
+    def test_constructor_and_copy_own_their_params(self):
+        w = np.eye(2)
+        net = Mlp([w], [np.zeros(2)], ["linear"])
+        w[0, 0] = 5.0
+        assert net.weights[0][0, 0] == 1.0
+        twin = net.copy()
+        twin.params += 1.0
+        np.testing.assert_array_equal(net.params, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+    def test_pack_moves_nets_into_one_store(self):
+        rng = np.random.default_rng(24)
+        a = make_net(rng, (3, 4, 2), "sigmoid")
+        b = make_net(rng, (5, 4, 1), "linear")
+        values = np.concatenate([a.params, b.params])
+        store = pack(a, b)
+        np.testing.assert_array_equal(store, values)
+        assert np.shares_memory(a.weights[0], store)
+        assert np.shares_memory(b.biases[-1], store)
+        store[:] = 0.0
+        assert not np.any(a.weights[0]) and not np.any(b.biases[-1])
+
+    def test_flatten_copies(self):
+        net = make_net(np.random.default_rng(25), (3, 4, 2), "sigmoid")
+        flat = flatten_mlp(net)
+        assert not np.shares_memory(flat.values, net.params)
+        np.testing.assert_array_equal(flat.values, net.params)
 
 
 class TestFlattenWeights:
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(21)
-        net = make_net(rng, (7, 11, 5), "sigmoid")
-        flat = flatten_mlp(net)
-        back = unflatten_mlp(flat)
-        for a, b in zip(mlp_params(net), mlp_params(back)):
-            np.testing.assert_array_equal(a, b)
-        assert back.activations == net.activations
-
     def test_same_seed_same_weights(self):
         a = make_net(np.random.default_rng(33), (4, 8, 2), "linear")
         b = make_net(np.random.default_rng(33), (4, 8, 2), "linear")
@@ -223,14 +270,14 @@ class TestFlattenWeights:
         flat = flatten_mlp(net)
         assert flat.values.size == 40015
         assert flat.values.size == count_params(sizes)
-        assert mlp_size(net) == 40015
+        assert net.params.size == 40015
 
     def test_concat_layout(self):
         rng = np.random.default_rng(35)
         a = make_net(rng, (3, 4, 2), "sigmoid")
         b = make_net(rng, (5, 4, 1), "linear")
-        combined = concat_flats([flatten_mlp(a), flatten_mlp(b)])
-        na, nb = mlp_size(a), mlp_size(b)
+        combined = flatten_mlp(a, b)
+        na, nb = a.params.size, b.params.size
         assert combined.values.size == na + nb
         np.testing.assert_array_equal(combined.values[:na],
                                       flatten_mlp(a).values)
