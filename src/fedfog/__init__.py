@@ -14,9 +14,9 @@ from .ddpg import DdpgAgent, DdpgHyperParams
 from .dqn import DqnAgent, DqnHyperParams, decode_action
 from .env import (ActionConstraintError, ActionVector, CostBreakdown,
                   EnvConfig, EpisodeOverError, FogAccessPoint, FogCellEnv,
-                  MobileDevice, SlotState, TaskSpec, channel_gain,
-                  flatten_state, local_cost, md_energy_coeff, offload_cost,
-                  rollout_episode, sanitize_action, slot_cost, uplink_rate)
+                  SlotState, channel_gains, flatten_state, md_energy_coeff,
+                  rollout_episode, sanitize_action, slot_cost,
+                  spectral_efficiency)
 from .federated import (GlobalModel, RoundReport, TrainingResult,
                         evaluate_global, evaluate_policy, federated_average,
                         load_round_checkpoint, make_eval_envs, run_round,

@@ -22,12 +22,19 @@ across cell sizes.
 
 Downlink result delivery, FAP-side energy, and cross-slot task queueing are
 deliberately not modeled.
+
+Layout: a cell is one FogAccessPoint holding its own position, CPU and
+bandwidth plus its MDs as arrays over the cell, MD i in row i: positions
+(M, 2), and CPU frequency, transmit power and energy coefficient (M,).
+SlotState and ActionVector use the same order. Costs, gains and mobility
+are whole-array expressions, except the gain's power and the rate's log2,
+which run per MD on Python floats through libm (see channel_gains).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +66,9 @@ class EpisodeOverError(RuntimeError):
     """step() was called after the episode's final slot."""
 
 
-def md_energy_coeff(cpu_freq: float) -> float:
-    """Per-cycle switching energy of an MD chip running at `cpu_freq` Hz."""
+def md_energy_coeff(cpu_freq):
+    """Per-cycle switching energy of an MD chip running at `cpu_freq` Hz
+    (a float or an array over the cell's MDs)."""
     return 1e-27 * cpu_freq * cpu_freq
 
 
@@ -127,29 +135,16 @@ class EnvConfig:
 
 
 @dataclass
-class TaskSpec:
-    """One computation task: payload to move and work to execute."""
+class FogAccessPoint:
+    """A FAP and the devices of its cell, held as arrays over the M MDs."""
 
-    bits: float
-    cycles: float
-
-
-@dataclass
-class MobileDevice:
-    id: int
     position: np.ndarray                # (2,) m
     cpu_freq: float                     # Hz
-    tx_power: float                     # W
-    energy_coeff: float                 # J/cycle, 1e-27 * cpu_freq**2
-
-
-@dataclass
-class FogAccessPoint:
-    id: int
-    position: np.ndarray                # (2,) m
-    cpu_freq: float
-    bandwidth: float
-    devices: list[MobileDevice] = field(default_factory=list)
+    bandwidth: float                    # Hz
+    md_positions: np.ndarray            # (M, 2) m
+    md_cpu_freq: np.ndarray             # (M,) Hz
+    md_tx_power: np.ndarray             # (M,) W
+    md_energy_coeff: np.ndarray         # (M,) J/cycle, 1e-27 * md_cpu_freq**2
 
 
 @dataclass
@@ -176,11 +171,25 @@ class ActionVector:
     bandwidth_share: np.ndarray         # (M,) in [0, 1]
 
     def validate(self, eps: float = EPS_ALLOC) -> None:
-        """Raise ActionConstraintError naming the first violated constraint."""
+        """Raise ActionConstraintError naming the first violated constraint.
+
+        Both share groups are checked at once as one (2, M) array; the
+        constraint is named only once some check has failed.
+        """
         m = len(self.offload)
         if len(self.compute_share) != m or len(self.bandwidth_share) != m:
             raise ActionConstraintError("length mismatch",
                                         "offload/compute/bandwidth differ")
+        offloaded = self.offload == 1
+        shares = np.concatenate((self.compute_share, self.bandwidth_share))
+        shares = shares.reshape(2, m)
+        if (not (offloaded | (self.offload == 0)).all()
+                or shares.min() < 0 or shares.max() > 1
+                or shares.sum(axis=1).max() > 1.0 + _SUM_TOL
+                or (offloaded & (shares < eps - 1e-15)).any()):
+            self._name_violation(eps)
+
+    def _name_violation(self, eps: float) -> None:
         if not np.all((self.offload == 0) | (self.offload == 1)):
             raise ActionConstraintError("offload not binary")
         for name, share in (("compute_share", self.compute_share),
@@ -211,66 +220,50 @@ class CostBreakdown:
     per_md_energy: np.ndarray
 
 
-def channel_gain(md_pos: np.ndarray, fap_pos: np.ndarray, alpha: float) -> float:
-    """Power-law gain max(dist, D_MIN)**-alpha between an MD and its FAP."""
-    dist = float(np.hypot(md_pos[0] - fap_pos[0], md_pos[1] - fap_pos[1]))
-    return max(dist, D_MIN) ** (-alpha)
+def channel_gains(md_positions: np.ndarray, fap_position: np.ndarray,
+                  alpha: float) -> np.ndarray:
+    """Power-law gains max(dist, D_MIN)**-alpha of every MD to its FAP.
 
-
-def local_cost(task: TaskSpec, md: MobileDevice) -> tuple[float, float]:
-    """Delay (s) and energy (J) of running `task` on the device itself."""
-    delay = task.cycles / md.cpu_freq
-    energy = md.energy_coeff * task.cycles
-    return delay, energy
-
-
-def uplink_rate(z: float, bandwidth: float, power: float, gain: float,
-                noise_power: float) -> float:
-    """Achievable uplink bit rate for a device holding bandwidth share z."""
-    if z == 0.0:
-        return 0.0
-    return z * bandwidth * math.log2(1.0 + power * gain / noise_power)
-
-
-def offload_cost(task: TaskSpec, md: MobileDevice, fap: FogAccessPoint,
-                 y: float, z: float, gain: float, noise_power: float,
-                 ) -> tuple[float, float]:
-    """Delay and MD-side energy of offloading `task` with shares (y, z).
-
-    Only the device's transmit energy is charged; FAP-side energy is not
-    part of the cost model.
+    The distances come from one np.hypot over the cell; the power runs per
+    MD on Python floats, because numpy's SIMD power does not round like
+    libm's pow on every argument and the trajectories are pinned to libm.
     """
-    if y < EPS_ALLOC or z < EPS_ALLOC:
-        raise ActionConstraintError("share below minimum for an offloaded MD",
-                                    f"y={y!r} z={z!r}")
-    rate = uplink_rate(z, fap.bandwidth, md.tx_power, gain, noise_power)
-    tx_delay = task.bits / rate
-    delay = task.cycles / (y * fap.cpu_freq) + tx_delay
-    return delay, md.tx_power * tx_delay
+    dist = np.hypot(md_positions[:, 0] - fap_position[0],
+                    md_positions[:, 1] - fap_position[1])
+    return np.array([max(d, D_MIN) ** (-alpha) for d in dist.tolist()])
+
+
+def spectral_efficiency(tx_power: np.ndarray, gains: np.ndarray,
+                        noise_power: float) -> np.ndarray:
+    """log2(1 + p * g / noise) per MD, in bit/s/Hz, through libm's log2."""
+    snr1 = 1.0 + tx_power * gains / noise_power
+    return np.array([math.log2(v) for v in snr1.tolist()])
 
 
 def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
               config: EnvConfig) -> CostBreakdown:
-    """Weighted delay-energy cost of the cell for one slot under `action`."""
+    """Weighted delay-energy cost of the cell for one slot under `action`.
+
+    Every MD gets its local terms; the offloaded MDs then get theirs
+    overwritten by the offload terms. Only the device's transmit energy is
+    charged for an offloaded task; FAP-side energy is not part of the model.
+    """
     action.validate()
-    m = state.num_mds
-    if m != len(fap.devices):
+    if state.num_mds != len(fap.md_cpu_freq):
         raise ActionConstraintError("length mismatch", "state vs fap devices")
-    per_delay = np.zeros(m)
-    per_energy = np.zeros(m)
-    for i in range(m):
-        task = TaskSpec(float(state.task_bits[i]), float(state.task_cycles[i]))
-        md = fap.devices[i]
-        if action.offload[i] == 0:
-            d, e = local_cost(task, md)
-        else:
-            d, e = offload_cost(task, md, fap,
-                                float(action.compute_share[i]),
-                                float(action.bandwidth_share[i]),
-                                float(state.channel_gains[i]),
-                                config.noise_power)
-        per_delay[i] = d
-        per_energy[i] = e
+    cycles = state.task_cycles
+    per_delay = cycles / fap.md_cpu_freq
+    per_energy = fap.md_energy_coeff * cycles
+    off = np.flatnonzero(action.offload)
+    if off.size:
+        power = fap.md_tx_power[off]
+        rate = (action.bandwidth_share[off] * fap.bandwidth
+                * spectral_efficiency(power, state.channel_gains[off],
+                                      config.noise_power))
+        tx_delay = state.task_bits[off] / rate
+        per_delay[off] = (cycles[off] / (action.compute_share[off] * fap.cpu_freq)
+                          + tx_delay)
+        per_energy[off] = power * tx_delay
     total_delay = float(per_delay.sum())
     total_energy = float(per_energy.sum())
     cost = config.weight_delay * total_delay + config.weight_energy * total_energy
@@ -366,11 +359,13 @@ class FogCellEnv:
         self.config = config
         self._seed = config.rng_seed if seed is None else seed
         self._rng = np.random.default_rng(self._seed)
+        # the MD arrays are drawn by reset()
         self.fap = FogAccessPoint(
-            id=0,
             position=np.array([config.cell_side / 2.0, config.cell_side / 2.0]),
             cpu_freq=config.fap_cpu,
             bandwidth=config.bandwidth,
+            md_positions=np.empty((0, 2)), md_cpu_freq=np.empty(0),
+            md_tx_power=np.empty(0), md_energy_coeff=np.empty(0),
         )
         self.state: SlotState | None = None
         self.last_cost: CostBreakdown | None = None
@@ -396,14 +391,11 @@ class FogCellEnv:
             self._rng = np.random.default_rng(seed)
         cfg = self.config
         m = cfg.mds_per_fap
-        positions = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
-        cpu = self._rng.uniform(*cfg.md_cpu_range, size=m)
-        power = self._rng.uniform(*cfg.md_power_range, size=m)
-        self.fap.devices = [
-            MobileDevice(i, positions[i].copy(), float(cpu[i]), float(power[i]),
-                         md_energy_coeff(float(cpu[i])))
-            for i in range(m)
-        ]
+        fap = self.fap
+        fap.md_positions = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
+        fap.md_cpu_freq = self._rng.uniform(*cfg.md_cpu_range, size=m)
+        fap.md_tx_power = self._rng.uniform(*cfg.md_power_range, size=m)
+        fap.md_energy_coeff = md_energy_coeff(fap.md_cpu_freq)
         self.t = 0
         self.last_cost = None
         self.state = self._observe()
@@ -439,13 +431,11 @@ class FogCellEnv:
         m = cfg.mds_per_fap
         bits = self._rng.uniform(*cfg.task_bits_range, size=m)
         cpb = self._rng.uniform(*cfg.cycles_per_bit_range, size=m)
-        positions = np.array([md.position for md in self.fap.devices])
-        gains = np.array([
-            channel_gain(md.position, self.fap.position, cfg.path_loss_alpha)
-            for md in self.fap.devices
-        ])
-        return SlotState(bits, bits * cpb, self.fap.position.copy(),
-                         positions, gains)
+        fap = self.fap
+        gains = channel_gains(fap.md_positions, fap.position,
+                              cfg.path_loss_alpha)
+        return SlotState(bits, bits * cpb, fap.position.copy(),
+                         fap.md_positions.copy(), gains)
 
     def _move_devices(self) -> None:
         """Bounded random walk, reflected at the cell walls."""
@@ -453,15 +443,13 @@ class FogCellEnv:
         m = cfg.mds_per_fap
         step_len = self._rng.uniform(0.0, cfg.max_move_per_slot, size=m)
         angle = self._rng.uniform(0.0, 2.0 * np.pi, size=m)
-        for i, md in enumerate(self.fap.devices):
-            md.position = _reflect(
-                md.position + step_len[i] * np.array([np.cos(angle[i]),
-                                                      np.sin(angle[i])]),
-                cfg.cell_side)
+        heading = np.stack((np.cos(angle), np.sin(angle)), axis=1)
+        self.fap.md_positions = _reflect(
+            self.fap.md_positions + step_len[:, None] * heading, cfg.cell_side)
 
 
 def _reflect(pos: np.ndarray, side: float) -> np.ndarray:
-    """Fold a point back into [0, side]^2 by mirror reflection."""
+    """Fold positions back into [0, side] per coordinate by mirror reflection."""
     period = 2.0 * side
     folded = np.mod(pos, period)
     return np.where(folded > side, period - folded, folded)

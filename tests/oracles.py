@@ -19,7 +19,8 @@ def straight_line_slot_cost(state, action, fap, config) -> float:
     for i in range(len(state.task_bits)):
         bits = float(state.task_bits[i])
         cycles = float(state.task_cycles[i])
-        md = fap.devices[i]
+        md_cpu = float(fap.md_cpu_freq[i])
+        md_power = float(fap.md_tx_power[i])
         dx = float(state.md_positions[i][0]) - float(state.fap_position[0])
         dy = float(state.md_positions[i][1]) - float(state.fap_position[1])
         dist = math.sqrt(dx * dx + dy * dy)
@@ -27,16 +28,16 @@ def straight_line_slot_cost(state, action, fap, config) -> float:
             dist = 1.0
         gain = dist ** (-float(config.path_loss_alpha))
         if int(action.offload[i]) == 0:
-            delay = cycles / float(md.cpu_freq)
-            energy = 1e-27 * float(md.cpu_freq) ** 2 * cycles
+            delay = cycles / md_cpu
+            energy = 1e-27 * md_cpu ** 2 * cycles
         else:
             y = float(action.compute_share[i])
             z = float(action.bandwidth_share[i])
-            snr = float(md.tx_power) * gain / float(config.noise_power)
+            snr = md_power * gain / float(config.noise_power)
             rate = z * float(config.bandwidth) * math.log2(1.0 + snr)
             tx = bits / rate
             delay = cycles / (y * float(fap.cpu_freq)) + tx
-            energy = float(md.tx_power) * tx
+            energy = md_power * tx
         total_delay += delay
         total_energy += energy
     return (float(config.weight_delay) * total_delay
@@ -75,9 +76,9 @@ def grid_min_weighted_inverse(weights, step: float):
 
 def _local_term(state, fap, config, i: int) -> float:
     cycles = float(state.task_cycles[i])
-    md = fap.devices[i]
-    d = cycles / float(md.cpu_freq)
-    e = 1e-27 * float(md.cpu_freq) ** 2 * cycles
+    md_cpu = float(fap.md_cpu_freq[i])
+    d = cycles / md_cpu
+    e = 1e-27 * md_cpu ** 2 * cycles
     return float(config.weight_delay) * d + float(config.weight_energy) * e
 
 
@@ -89,18 +90,60 @@ def _offload_terms(state, fap, config, i: int):
     """
     bits = float(state.task_bits[i])
     cycles = float(state.task_cycles[i])
-    md = fap.devices[i]
+    md_power = float(fap.md_tx_power[i])
     dx = float(state.md_positions[i][0]) - float(state.fap_position[0])
     dy = float(state.md_positions[i][1]) - float(state.fap_position[1])
     dist = max(math.sqrt(dx * dx + dy * dy), 1.0)
     gain = dist ** (-float(config.path_loss_alpha))
-    snr = float(md.tx_power) * gain / float(config.noise_power)
+    snr = md_power * gain / float(config.noise_power)
     full_rate = float(config.bandwidth) * math.log2(1.0 + snr)
     a_compute = float(config.weight_delay) * cycles / float(fap.cpu_freq)
     a_bandwidth = ((float(config.weight_delay)
-                    + float(config.weight_energy) * float(md.tx_power))
+                    + float(config.weight_energy) * md_power)
                    * bits / full_rate)
     return a_compute, a_bandwidth
+
+
+def enumerate_slot_optimum(state, fap, config):
+    """Scalar enumeration of the per-slot optimum over the 2^M offload sets.
+
+    The per-MD weights are computed one MD at a time from the state's gains,
+    in the package's operation order, and every subset is scored in a double
+    loop. Returns (offload list, cost, compute weights, bandwidth weights);
+    on a tie the lowest mask wins.
+    """
+    m = len(state.task_bits)
+    wd = float(config.weight_delay)
+    we = float(config.weight_energy)
+    local, a_compute, a_bandwidth = [], [], []
+    for i in range(m):
+        bits = float(state.task_bits[i])
+        cycles = float(state.task_cycles[i])
+        md_power = float(fap.md_tx_power[i])
+        local.append(wd * (cycles / float(fap.md_cpu_freq[i]))
+                     + we * (float(fap.md_energy_coeff[i]) * cycles))
+        a_compute.append(wd * cycles / float(fap.cpu_freq))
+        snr = md_power * float(state.channel_gains[i]) / float(config.noise_power)
+        full_rate = float(fap.bandwidth) * math.log2(1.0 + snr)
+        a_bandwidth.append((wd + we * md_power) * bits / full_rate)
+    best_cost = math.inf
+    best_mask = 0
+    for mask in range(1 << m):
+        cost = 0.0
+        sq_compute = 0.0
+        sq_bandwidth = 0.0
+        for i in range(m):
+            if mask >> i & 1:
+                sq_compute += math.sqrt(a_compute[i])
+                sq_bandwidth += math.sqrt(a_bandwidth[i])
+            else:
+                cost += local[i]
+        cost += sq_compute ** 2 + sq_bandwidth ** 2
+        if cost < best_cost:
+            best_cost = cost
+            best_mask = mask
+    offload = [(best_mask >> i) & 1 for i in range(m)]
+    return offload, best_cost, a_compute, a_bandwidth
 
 
 def grid_slot_optimum(state, fap, config, step: float):

@@ -6,8 +6,10 @@ are expensive and shared between checks through module fixtures.
 """
 
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -178,28 +180,47 @@ def test_criterion_4_fedavg_exactness(capsys):
              "mean within 1e-12, single upload and consensus bit-exact")
 
 
+def _desk_run(kind, seed):
+    """One desk-scale training of the gate, run in a worker process.
+
+    DDPG comes with the paired baseline evaluations and `ddpg_wall`, the
+    wall time of both measured here; the result keeps the round reports and
+    the global model, not the agents and envs.
+    """
+    t0 = time.perf_counter()
+    if kind == "dqn":
+        run = run_training(DESK, "dqn", seed, ROUNDS, dqn_hp=ACCEPT_DQN)
+        return {"dqn": replace(run, agents=[], envs=[])}
+    ddpg = run_training(DESK, "ddpg", seed, ROUNDS, ddpg_hp=ACCEPT_DDPG,
+                        eval_last_rounds=TAIL)
+    base = {}
+    for name, pol in (("local", lambda e, s: local_policy(s)),
+                      ("equal", lambda e, s: equal_policy(s)),
+                      ("oracle", oracle_policy)):
+        base[name] = evaluate_policy(pol, make_eval_envs(DESK, seed),
+                                     episodes=TAIL)[1]
+    return {"ddpg": replace(ddpg, agents=[], envs=[]), "base": base,
+            "ddpg_wall": time.perf_counter() - t0}
+
+
 @pytest.fixture(scope="module")
 def desk_runs():
     """3-seed desk-scale training for both agent kinds plus paired baselines.
 
     The per-round eval tail and the baseline evaluations consume the same
-    held-out episode draws, so their means are directly comparable.
+    held-out episode draws, so their means are directly comparable. The six
+    trainings are independent and seeded, so two worker processes run them
+    with the same results as one after the other; the longer DDPG runs go
+    first.
     """
-    runs = {}
-    for seed in SEEDS:
-        t0 = time.perf_counter()
-        ddpg = run_training(DESK, "ddpg", seed, ROUNDS, ddpg_hp=ACCEPT_DDPG,
-                            eval_last_rounds=TAIL)
-        base = {}
-        for name, pol in (("local", lambda e, s: local_policy(s)),
-                          ("equal", lambda e, s: equal_policy(s)),
-                          ("oracle", oracle_policy)):
-            base[name] = evaluate_policy(pol, make_eval_envs(DESK, seed),
-                                         episodes=TAIL)[1]
-        ddpg_wall = time.perf_counter() - t0
-        dqn = run_training(DESK, "dqn", seed, ROUNDS, dqn_hp=ACCEPT_DQN)
-        runs[seed] = {"ddpg": ddpg, "dqn": dqn, "base": base,
-                      "ddpg_wall": ddpg_wall}
+    jobs = [(kind, seed) for kind in ("ddpg", "dqn") for seed in SEEDS]
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        parts = list(pool.map(_desk_run, *zip(*jobs)))
+    runs = {seed: {} for seed in SEEDS}
+    for (_, seed), part in zip(jobs, parts):
+        runs[seed].update(part)
     return runs
 
 
@@ -273,7 +294,7 @@ def sweep_rows(tmp_path_factory):
     cfg = ExperimentConfig(env=DESK, ddpg=ACCEPT_DDPG, dqn=ACCEPT_DQN,
                            seeds=list(SEEDS), sweep_rounds=40,
                            eval_episodes=20, save_checkpoints=False,
-                           out_dir=str(base / "m"))
+                           workers=2, out_dir=str(base / "m"))
     _, m_rows = sweep_mds(cfg, [1, 2, 3])
     cfg_f = ExperimentConfig(env=DESK, seeds=list(SEEDS), sweep_rounds=1,
                              eval_episodes=20, save_checkpoints=False,

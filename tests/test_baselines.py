@@ -8,24 +8,24 @@ import pytest
 from fedfog.baselines import (ORACLE_MAX_MDS, closed_form_allocation,
                               equal_policy, local_policy, oracle_policy,
                               oracle_slot_optimum)
-from fedfog.env import (EnvConfig, FogAccessPoint, FogCellEnv, MobileDevice,
-                        SlotState, md_energy_coeff, slot_cost)
-from oracles import (grid_min_weighted_inverse, grid_slot_optimum,
-                     grid_slot_optimum_joint, nearest_grid_point, simplex_grid)
+from fedfog.env import (EnvConfig, FogAccessPoint, FogCellEnv, SlotState,
+                        md_energy_coeff, slot_cost)
+from oracles import (enumerate_slot_optimum, grid_min_weighted_inverse,
+                     grid_slot_optimum, grid_slot_optimum_joint,
+                     nearest_grid_point, simplex_grid)
 
 
 def build_cell(rng, m, config):
     """Random FAP + devices + slot state drawn inside the configured ranges."""
     side = config.cell_side
     fap_pos = np.array([side / 2, side / 2])
-    devices = []
     positions = rng.uniform(0, side, size=(m, 2))
+    cpus, powers = np.zeros(m), np.zeros(m)
     for i in range(m):
-        f = rng.uniform(*config.md_cpu_range)
-        devices.append(MobileDevice(i, positions[i], f,
-                                    rng.uniform(*config.md_power_range),
-                                    md_energy_coeff(f)))
-    fap = FogAccessPoint(0, fap_pos, config.fap_cpu, config.bandwidth, devices)
+        cpus[i] = rng.uniform(*config.md_cpu_range)
+        powers[i] = rng.uniform(*config.md_power_range)
+    fap = FogAccessPoint(fap_pos, config.fap_cpu, config.bandwidth, positions,
+                         cpus, powers, md_energy_coeff(cpus))
     gains = np.array([max(np.linalg.norm(p - fap_pos), 1.0) ** -config.path_loss_alpha
                       for p in positions])
     state = SlotState(rng.uniform(*config.task_bits_range, size=m),
@@ -193,6 +193,46 @@ class TestOracleSlotOptimum:
                 np.testing.assert_allclose(action.bandwidth_share, [1.0])
             else:
                 assert cost == pytest.approx(local, rel=1e-12)
+
+    def test_matches_scalar_enumeration(self):
+        cfg = EnvConfig()
+        rng = np.random.default_rng(16)
+        for m in range(1, ORACLE_MAX_MDS + 1):
+            for _ in range(40 if m < 10 else 8):
+                state, fap = build_cell(rng, m, cfg)
+                action, cost = oracle_slot_optimum(state, fap, cfg)
+                offload, ref_cost, a_c, a_b = enumerate_slot_optimum(
+                    state, fap, cfg)
+                assert action.offload.tolist() == offload
+                assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+                chosen = np.array(offload) == 1
+                for got, weights in ((action.compute_share, a_c),
+                                     (action.bandwidth_share, a_b)):
+                    want = np.zeros(m)
+                    if chosen.any():
+                        want[chosen] = closed_form_allocation(
+                            np.array(weights)[chosen])
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m, k", [(3, 1), (3, 2), (9, 3), (12, 5)])
+    def test_ties_go_to_lowest_mask(self, m, k):
+        # M identical MDs: every set of k offloaded MDs costs the same,
+        # (M - k) L + k^2 A (L local cost, A offload weight), and the FAP
+        # speed is set so that A = L / 2k, where k is the optimal count.
+        cfg = EnvConfig()
+        cpu = np.full(m, 1.5e9)
+        fap = FogAccessPoint(np.zeros(2), cfg.fap_cpu, cfg.bandwidth,
+                             np.full((m, 2), 70.0), cpu, np.full(m, 0.5),
+                             md_energy_coeff(cpu))
+        state = SlotState(np.full(m, 2e6), np.full(m, 7e8), fap.position,
+                          fap.md_positions.copy(), np.full(m, 1e-8))
+        _, _, _, a_b = enumerate_slot_optimum(state, fap, cfg)
+        local = 0.5 * (7e8 / 1.5e9) + 0.5 * (fap.md_energy_coeff[0] * 7e8)
+        fap.cpu_freq = 0.5 * 7e8 / (local / (2 * k) - a_b[0])
+        action, _ = oracle_slot_optimum(state, fap, cfg)
+        want = [1] * k + [0] * (m - k)
+        assert action.offload.tolist() == want
+        assert enumerate_slot_optimum(state, fap, cfg)[0] == want
 
     def test_enumeration_budget_enforced(self):
         cfg = EnvConfig()

@@ -7,22 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfog.env import (ActionConstraintError, ActionVector, EnvConfig,
+from fedfog.env import (D_MIN, ActionConstraintError, ActionVector, EnvConfig,
                         EpisodeOverError, FogAccessPoint, FogCellEnv,
-                        MobileDevice, SlotState, TaskSpec, channel_gain,
-                        flatten_state, local_cost, md_energy_coeff,
-                        md_rotations, offload_cost, sanitize_action, slot_cost,
-                        uplink_rate)
+                        SlotState, channel_gains, flatten_state,
+                        md_energy_coeff, md_rotations, sanitize_action,
+                        slot_cost, spectral_efficiency)
 from oracles import straight_line_slot_cost
 
 
-def make_md(i=0, pos=(10.0, 10.0), cpu=1.5e9, power=0.5):
-    return MobileDevice(i, np.array(pos, dtype=float), cpu, power,
-                        md_energy_coeff(cpu))
+def make_fap(positions, cpus, powers, cpu=5e9, bandwidth=1e7):
+    """A FAP at the origin serving MDs with the given per-MD values."""
+    cpus = np.array(cpus, dtype=float)
+    return FogAccessPoint(np.array([0.0, 0.0]), cpu, bandwidth,
+                          np.array(positions, dtype=float), cpus,
+                          np.array(powers, dtype=float), md_energy_coeff(cpus))
 
 
-def make_fap(devices, cpu=5e9, bandwidth=1e7):
-    return FogAccessPoint(0, np.array([0.0, 0.0]), cpu, bandwidth, devices)
+def one_md_cost(bits, cycles, offload=0, y=0.0, z=0.0, gain=1e-8,
+                md_cpu=1.5e9, power=0.5, fap_cpu=5e9, bandwidth=1e7):
+    """Delay (s) and energy (J) of one task in a one-MD cell, via slot_cost."""
+    fap = make_fap([(10.0, 10.0)], [md_cpu], [power], fap_cpu, bandwidth)
+    state = SlotState(np.array([bits]), np.array([cycles]), fap.position,
+                      fap.md_positions.copy(), np.array([gain]))
+    action = ActionVector(np.array([offload]), np.array([y]), np.array([z]))
+    out = slot_cost(state, action, fap, EnvConfig(mds_per_fap=1))
+    return out.per_md_delay[0], out.per_md_energy[0]
 
 
 def random_slot(rng, config):
@@ -30,21 +39,16 @@ def random_slot(rng, config):
     m = config.mds_per_fap
     fap_pos = np.array([config.cell_side / 2.0] * 2)
     positions = rng.uniform(0.0, config.cell_side, size=(m, 2))
-    devices = [
-        MobileDevice(i, positions[i].copy(),
-                     float(rng.uniform(*config.md_cpu_range)),
-                     float(rng.uniform(*config.md_power_range)),
-                     md_energy_coeff(float(rng.uniform(*config.md_cpu_range))))
-        for i in range(m)
-    ]
-    # recompute the coefficient from the frequency actually stored
-    for md in devices:
-        md.energy_coeff = md_energy_coeff(md.cpu_freq)
-    fap = FogAccessPoint(0, fap_pos, config.fap_cpu, config.bandwidth, devices)
+    cpus, powers = np.zeros(m), np.zeros(m)
+    for i in range(m):
+        cpus[i] = rng.uniform(*config.md_cpu_range)
+        powers[i] = rng.uniform(*config.md_power_range)
+        rng.uniform(*config.md_cpu_range)   # unused; keeps the seeded cells
+    fap = FogAccessPoint(fap_pos, config.fap_cpu, config.bandwidth, positions,
+                         cpus, powers, md_energy_coeff(cpus))
     bits = rng.uniform(*config.task_bits_range, size=m)
     cpb = rng.uniform(*config.cycles_per_bit_range, size=m)
-    gains = np.array([channel_gain(md.position, fap_pos,
-                                   config.path_loss_alpha) for md in devices])
+    gains = channel_gains(positions, fap_pos, config.path_loss_alpha)
     state = SlotState(bits, bits * cpb, fap_pos, positions, gains)
     return state, fap
 
@@ -66,49 +70,56 @@ class TestConfig:
             EnvConfig(mds_per_fap=0)
 
 
+def gain_at(*points):
+    return channel_gains(np.array(points, dtype=float), np.zeros(2), 4.0)
+
+
 class TestChannelGain:
     def test_powers_of_ten(self):
-        assert channel_gain(np.zeros(2), np.array([10.0, 0.0]), 4.0) == 1e-4
-        g = channel_gain(np.zeros(2), np.array([200.0, 0.0]), 4.0)
+        assert gain_at((10.0, 0.0))[0] == 1e-4
+        g = gain_at((200.0, 0.0))[0]
         assert g == pytest.approx(6.25e-10, rel=1e-12)
 
     def test_clamped_below_one_meter(self):
-        assert channel_gain(np.zeros(2), np.array([0.5, 0.0]), 4.0) == 1.0
-        assert channel_gain(np.zeros(2), np.zeros(2), 4.0) == 1.0
+        np.testing.assert_array_equal(gain_at((0.5, 0.0), (0.0, 0.0)), 1.0)
 
     def test_monotone_beyond_clamp(self):
-        dists = np.linspace(1.0, 300.0, 50)
-        gains = [channel_gain(np.zeros(2), np.array([d, 0.0]), 4.0)
-                 for d in dists]
-        assert all(a > b for a, b in zip(gains, gains[1:]))
+        gains = gain_at(*[(d, 0.0) for d in np.linspace(1.0, 300.0, 50)])
+        assert np.all(gains[:-1] > gains[1:])
 
 
 class TestLocalCost:
     def test_unit_cases(self):
-        md = make_md(cpu=1e9)
-        delay, energy = local_cost(TaskSpec(1e6, 1e9), md)
+        delay, energy = one_md_cost(1e6, 1e9, md_cpu=1e9)
         assert delay == 1.0
         assert energy == pytest.approx(1.0, rel=1e-12)
 
     def test_scalar_example(self):
-        md = make_md(cpu=1.5e9)
-        delay, energy = local_cost(TaskSpec(1e6, 7e8), md)
+        delay, energy = one_md_cost(1e6, 7e8, md_cpu=1.5e9)
         assert delay == pytest.approx(7e8 / 1.5e9, rel=1e-12)
         assert delay == pytest.approx(0.4667, abs=5e-5)
         assert energy == pytest.approx(1e-27 * 1.5e9 ** 2 * 7e8, rel=1e-12)
         assert energy == pytest.approx(1.575, rel=1e-4)
 
 
+def rate_charged(z, power, gain, bits=5e6):
+    """The rate slot_cost charged an offloaded task, from its transmit
+    energy p * bits / rate (bandwidth 1e7 Hz, noise 1e-13 W)."""
+    _, energy = one_md_cost(bits, 7e8, 1, 0.5, z, gain, power=power)
+    return power * bits / energy
+
+
 class TestUplinkRate:
     def test_snr_one(self):
         # p*g = noise, so log2(1+1) = 1
-        assert uplink_rate(0.5, 1e7, 1.0, 1e-13, 1e-13) == pytest.approx(5e6)
+        assert rate_charged(0.5, 1.0, 1e-13) == pytest.approx(5e6)
 
-    def test_zero_share_is_zero_rate(self):
-        assert uplink_rate(0.0, 1e7, 1.0, 1e-4, 1e-13) == 0.0
+    def test_zero_share_rejected_for_offloaded_md(self):
+        with pytest.raises(ActionConstraintError, match="bandwidth_share"):
+            one_md_cost(5e6, 7e8, 1, 0.5, 0.0, 1e-4, power=1.0)
 
     def test_cell_edge_rate(self):
-        r = uplink_rate(1.0, 1e7, 1.0, 6.25e-10, 1e-13)
+        r = rate_charged(1.0, 1.0, 6.25e-10)
         assert r == pytest.approx(math.log2(1 + 6250) * 1e7, rel=1e-12)
         assert r == pytest.approx(1.2610e8, rel=1e-4)
 
@@ -116,37 +127,28 @@ class TestUplinkRate:
 class TestOffloadCost:
     def test_composed_unit_case(self):
         # rate 5e6 (SNR 1, z 0.5), compute 1e9 cyc at half of 5 GHz
-        md = make_md(cpu=1e9, power=0.5)
-        fap = make_fap([md], cpu=5e9, bandwidth=1e7)
         gain = 1e-13 / 0.5   # makes p*g equal the noise power
-        delay, energy = offload_cost(TaskSpec(5e6, 1e9), md, fap,
-                                     0.5, 0.5, gain, 1e-13)
+        delay, energy = one_md_cost(5e6, 1e9, 1, 0.5, 0.5, gain,
+                                    md_cpu=1e9, power=0.5)
         assert delay == pytest.approx(0.4 + 1.0, rel=1e-12)
         assert energy == pytest.approx(0.5, rel=1e-12)
 
     def test_scalar_example(self):
-        md = make_md(cpu=1e9, power=1.0)
-        fap = make_fap([md], cpu=5e9, bandwidth=1e7)
-        delay, energy = offload_cost(TaskSpec(2e6, 7e8), md, fap,
-                                     0.2, 0.2, 6.25e-10, 1e-13)
+        delay, energy = one_md_cost(2e6, 7e8, 1, 0.2, 0.2, 6.25e-10,
+                                    md_cpu=1e9, power=1.0)
         rate = 0.2 * 1e7 * math.log2(1 + 6250)
         assert delay == pytest.approx(0.7 + 2e6 / rate, rel=1e-12)
         assert delay == pytest.approx(0.7793, abs=5e-5)
         assert energy == pytest.approx(2e6 / rate, rel=1e-12)
 
     def test_more_resource_never_hurts(self):
-        md = make_md()
-        fap = make_fap([md])
-        t = TaskSpec(2e6, 7e8)
-        d_half, _ = offload_cost(t, md, fap, 0.5, 0.5, 1e-8, 1e-13)
-        d_full, _ = offload_cost(t, md, fap, 1.0, 1.0, 1e-8, 1e-13)
+        d_half, _ = one_md_cost(2e6, 7e8, 1, 0.5, 0.5, 1e-8)
+        d_full, _ = one_md_cost(2e6, 7e8, 1, 1.0, 1.0, 1e-8)
         assert d_full < d_half
 
     def test_floor_enforced(self):
-        md = make_md()
-        fap = make_fap([md])
         with pytest.raises(ActionConstraintError):
-            offload_cost(TaskSpec(2e6, 7e8), md, fap, 1e-4, 0.5, 1e-8, 1e-13)
+            one_md_cost(2e6, 7e8, 1, 1e-4, 0.5, 1e-8)
 
 
 class TestSlotCost:
@@ -157,9 +159,9 @@ class TestSlotCost:
         action = ActionVector(np.zeros(3, dtype=int), np.zeros(3), np.zeros(3))
         out = slot_cost(state, action, fap, cfg)
         expect_d = expect_e = 0.0
-        for i, md in enumerate(fap.devices):
-            d, e = local_cost(TaskSpec(state.task_bits[i],
-                                       state.task_cycles[i]), md)
+        for i in range(3):
+            d, e = one_md_cost(state.task_bits[i], state.task_cycles[i],
+                               md_cpu=fap.md_cpu_freq[i])
             expect_d += d
             expect_e += e
         assert out.total_delay == pytest.approx(expect_d, rel=1e-12)
@@ -170,20 +172,16 @@ class TestSlotCost:
     def test_mixed_action_matches_component_sum(self):
         # one offloaded MD at the cell edge, one local
         cfg = EnvConfig(mds_per_fap=2)
-        md0 = make_md(0, pos=(200.0, 0.0), cpu=1e9, power=1.0)
-        md1 = make_md(1, pos=(50.0, 50.0), cpu=1.5e9)
-        fap = FogAccessPoint(0, np.array([0.0, 0.0]), 5e9, 1e7, [md0, md1])
-        gains = np.array([channel_gain(md.position, fap.position, 4.0)
-                          for md in (md0, md1)])
+        fap = make_fap([(200.0, 0.0), (50.0, 50.0)], [1e9, 1.5e9], [1.0, 0.5])
+        gains = channel_gains(fap.md_positions, fap.position, 4.0)
         state = SlotState(np.array([2e6, 1e6]), np.array([7e8, 7e8]),
-                          fap.position, np.array([md0.position, md1.position]),
-                          gains)
+                          fap.position, fap.md_positions.copy(), gains)
         action = ActionVector(np.array([1, 0]), np.array([0.2, 0.0]),
                               np.array([0.2, 0.0]))
         out = slot_cost(state, action, fap, cfg)
-        d0, e0 = offload_cost(TaskSpec(2e6, 7e8), md0, fap, 0.2, 0.2,
-                              gains[0], cfg.noise_power)
-        d1, e1 = local_cost(TaskSpec(1e6, 7e8), md1)
+        d0, e0 = one_md_cost(2e6, 7e8, 1, 0.2, 0.2, gains[0], md_cpu=1e9,
+                             power=1.0)
+        d1, e1 = one_md_cost(1e6, 7e8, md_cpu=1.5e9)
         assert out.cost == pytest.approx(0.5 * (d0 + d1) + 0.5 * (e0 + e1),
                                          rel=1e-12)
         assert out.per_md_delay[0] == pytest.approx(d0, rel=1e-12)
@@ -233,6 +231,26 @@ class TestSlotCost:
                            np.array([0.3, 0.3]))
         with pytest.raises(ActionConstraintError, match="compute_share"):
             slot_cost(state, bad, fap, cfg)
+
+    @pytest.mark.parametrize("action, constraint", [
+        (([1, 0], [0.5], [0.5, 0.0]), "length mismatch"),
+        (([1, 2], [0.5, 0.5], [0.5, 0.5]), "offload not binary"),
+        (([1, 0], [1.5, 0.0], [0.5, 0.0]), "compute_share outside [0, 1]"),
+        (([1, 1], [0.8, 0.8], [0.3, 0.3]), "sum(compute_share) > 1"),
+        (([1, 1], [0.5, 1e-4], [0.3, 0.3]),
+         "compute_share below minimum share for an offloaded MD"),
+        (([1, 0], [0.5, 0.0], [-0.1, 0.0]), "bandwidth_share outside [0, 1]"),
+        (([1, 1], [0.3, 0.3], [0.8, 0.8]), "sum(bandwidth_share) > 1"),
+        (([1, 1], [0.3, 0.3], [0.5, 0.0]),
+         "bandwidth_share below minimum share for an offloaded MD"),
+    ], ids=["length", "offload", "compute-range", "compute-sum",
+            "compute-floor", "bandwidth-range", "bandwidth-sum",
+            "bandwidth-floor"])
+    def test_validate_names_each_constraint(self, action, constraint):
+        bad = ActionVector(*(np.array(v) for v in action))
+        with pytest.raises(ActionConstraintError) as err:
+            bad.validate()
+        assert err.value.constraint == constraint
 
     def test_agrees_with_straight_line_recompute(self):
         rng = np.random.default_rng(5)
@@ -367,11 +385,11 @@ class TestEnvLifecycle:
         cfg = EnvConfig(mds_per_fap=1)
         env = FogCellEnv(cfg, seed=31)
         state = env.reset()
-        md = env.fap.devices[0]
+        fap = env.fap
         action = ActionVector(np.zeros(1, dtype=int), np.zeros(1), np.zeros(1))
         d = float(state.task_cycles[0])
-        expect = -(0.5 * d / md.cpu_freq
-                   + 0.5 * md.energy_coeff * d) / 1
+        expect = -(0.5 * d / fap.md_cpu_freq[0]
+                   + 0.5 * fap.md_energy_coeff[0] * d) / 1
         reward, _ = env.step(action)
         assert reward <= 0.0
         assert reward == pytest.approx(expect, rel=1e-12)
@@ -404,3 +422,35 @@ class TestEnvLifecycle:
         state = env.reset()
         assert np.all(state.channel_gains > 0.0)
         assert np.all(state.channel_gains <= 1.0)
+
+
+class TestLibmPath:
+    """Gains and spectral efficiencies go through libm's pow and log2 on
+    Python floats; numpy's SIMD power and log2 round differently on some
+    arguments, so a switch to them moves every trajectory."""
+
+    def test_observed_gains_use_scalar_pow(self):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=12)
+        env = FogCellEnv(cfg, seed=12)
+        action = ActionVector(np.zeros(12, dtype=int), np.zeros(12),
+                              np.zeros(12))
+        for episode in range(4):
+            state = env.reset(seed=episode)
+            while True:
+                for i in range(12):
+                    dx = state.md_positions[i][0] - state.fap_position[0]
+                    dy = state.md_positions[i][1] - state.fap_position[1]
+                    want = max(float(np.hypot(dx, dy)), D_MIN) ** -4.0
+                    assert state.channel_gains[i] == want
+                if env.t == cfg.steps_per_episode:
+                    break
+                _, state = env.step(action)
+
+    def test_spectral_efficiency_uses_scalar_log2(self):
+        rng = np.random.default_rng(2)
+        power = rng.uniform(0.1, 1.0, size=200_000)
+        gains = rng.uniform(1.0, 150.0, size=200_000) ** -4.0
+        got = spectral_efficiency(power, gains, 1e-13)
+        want = [math.log2(1 + p * g / 1e-13)
+                for p, g in zip(power.tolist(), gains.tolist())]
+        assert got.tolist() == want
