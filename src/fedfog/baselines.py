@@ -24,8 +24,8 @@ import functools
 
 import numpy as np
 
-from .env import (ActionVector, EnvConfig, EPS_ALLOC, FogAccessPoint,
-                  SlotState, sanitize_action, spectral_efficiency)
+from .env import (ActionVector, EnvConfig, FogAccessPoint, SlotState,
+                  sanitize_action, spectral_efficiency)
 
 ORACLE_MAX_MDS = 12     # 2^M enumeration budget
 
@@ -126,4 +126,4 @@ def oracle_policy(env, state: SlotState) -> ActionVector:
     environment's share floor; the perturbation is negligible.
     """
     action, _ = oracle_slot_optimum(state, env.fap, env.config)
-    return sanitize_action(action.to_raw(), eps=EPS_ALLOC)
+    return sanitize_action(action.to_raw())

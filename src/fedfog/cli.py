@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -83,7 +84,6 @@ def _cmd_eval(args) -> int:
     print(f"mean reward {metrics[0]:.6g}  cost {metrics[1]:.6g}  "
           f"delay {metrics[2]:.6g} s  energy {metrics[3]:.6g} J")
     if args.out is not None:
-        import os
         path = os.path.join(args.out, "eval.csv")
         rid = f"eval-{model.agent_kind}-round{model.round_index}"
         write_csv(path, CSV_COLUMNS, [(rid, seed, model.round_index, *metrics)])
@@ -204,8 +204,6 @@ def main(argv=None) -> int:
             p.set_defaults(seed=0)
 
     args = parser.parse_args(argv)
-    if args.command == "oracle-check" and args.seed is None:
-        args.seed = 0
     try:
         return commands[args.command][1](args)
     except Exception as exc:                       # CLI boundary: report, rc 1

@@ -2,13 +2,8 @@
 
 The actor maps the flattened cell state to a raw output [x, r_y, r_z] in
 [0, 1]^(3M) (sigmoid output). Replay stores these raw outputs. The
-environment receives them through decode_shares and then sanitize_action:
-
-- MD i is offloaded when x_i > 0.5.
-- Within each share group an offloaded MD i gets (1 + r_i) / sum_j (1 + r_j)
-  over the offloaded MDs j, and an MD run locally gets 0. The offloaded MDs
-  always spend the whole budget, each keeps at least 1/(2k - 1) of it for k
-  offloaded MDs, and equal outputs give the equal split.
+environment receives them through env.decode_shares, the share rule the
+value-based agent uses too, and then sanitize_action.
 
 Shares taken directly from independent sigmoids trapped MDs on local
 execution: an output near 0 was floored at EPS_ALLOC, where offloading costs
@@ -37,28 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import Agent
-from .env import md_rotations, sanitize_action
+from .env import decode_shares, md_rotations, sanitize_action
 from .nn import AdamState, adam_step, backward, forward, init_mlp, workspace
 from .replay import ReplayBuffer, Transition
-
-
-def decode_shares(raw: np.ndarray) -> np.ndarray:
-    """Map an actor output [x, r_y, r_z] in [0, 1]^(3M) to [x, y, z] shares.
-
-    An MD is offloaded when x > 0.5. Within each share group an offloaded MD
-    i receives (1 + r_i) / sum_j (1 + r_j) over the offloaded MDs j, and an
-    MD run locally receives 0. The offloaded MDs therefore always spend the
-    whole budget, each keeps at least 1/(2k - 1) of it for k offloaded MDs,
-    and equal outputs give the equal split.
-    """
-    raw = np.asarray(raw, dtype=float)
-    m = raw.size // 3
-    weights = (1.0 + raw[m:].reshape(2, m)) * (raw[:m] > 0.5)
-    totals = weights.sum(axis=1, keepdims=True)
-    out = raw.copy()
-    # both groups share the offload mask, so both totals are 0 or neither
-    out[m:] = (weights / totals).ravel() if totals[0, 0] > 0.0 else 0.0
-    return out
 
 
 def share_features(raw: np.ndarray):

@@ -1,10 +1,9 @@
 """Value-based baseline agent over a discretized action catalog.
 
-Each MD gets its own head of 51 Q-values: a dedicated local entry plus the
-full binary-offload x 5 x 5 share-level product (levels k/5 for k in 1..5).
-The 25 product entries with the offload bit clear duplicate local execution
-once the sanitizer zeroes their shares; they are kept so the catalog
-enumerates the whole product grid. A joint table over all MDs would explode
+Each MD gets its own head of 26 Q-values: local execution plus offloading
+at each of 5 x 5 share levels. A level pair decodes as the weights r_y and
+r_z of env.decode_shares, the rule the actor-critic agent uses too, so the
+shares always fit the budget. A joint table over all MDs would explode
 combinatorially, so the heads share one trunk (same hidden sizes as the
 actor-critic agent) and each head bootstraps on the max of its own
 next-state values; the heads are coupled only through the shared cell
@@ -18,39 +17,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import Agent
-from .env import sanitize_action
+from .env import decode_shares, sanitize_action
 from .nn import AdamState, adam_step, backward, forward, init_mlp
 from .replay import ReplayBuffer, Transition
 
 SHARE_LEVELS = 5
-_PAIRS = SHARE_LEVELS * SHARE_LEVELS
-ACTIONS_PER_MD = 1 + 2 * _PAIRS     # local + {0,1} x 5 x 5 product
+ACTIONS_PER_MD = 1 + SHARE_LEVELS * SHARE_LEVELS    # local + 5 x 5 levels
+
+
+def _catalog() -> np.ndarray:
+    """Read-only (ACTIONS_PER_MD, 3) table of raw [x, r_y, r_z] rows."""
+    levels = np.arange(SHARE_LEVELS) / (SHARE_LEVELS - 1)
+    table = np.zeros((ACTIONS_PER_MD, 3))
+    table[1:, 0] = 1.0
+    table[1:, 1] = np.repeat(levels, SHARE_LEVELS)
+    table[1:, 2] = np.tile(levels, SHARE_LEVELS)
+    table.flags.writeable = False
+    return table
+
+
+CATALOG = _catalog()
 
 
 def decode_action(indices, num_mds: int) -> np.ndarray:
-    """Map per-MD catalog indices to a raw [x, y, z] action vector.
+    """Map per-MD catalog indices to an [x, y, z] action vector.
 
     Index 0 is local execution. Index 1 + (i-1)*5 + (j-1) offloads with
-    compute share i/5 and bandwidth share j/5; the block 25 higher carries
-    the same share pair with the offload bit clear, which the sanitizer
-    collapses to local execution. The result feeds sanitize_action, which
-    enforces the share budgets.
+    share weights r_i and r_j, where r_k = (k-1)/4 spans [0, 1] like the
+    actor's outputs; env.decode_shares turns the weights into shares of
+    each budget. The result feeds sanitize_action.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.shape != (num_mds,):
         raise ValueError(f"expected {num_mds} indices, got shape {indices.shape}")
     if np.any(indices < 0) or np.any(indices >= ACTIONS_PER_MD):
         raise ValueError(f"action index outside [0, {ACTIONS_PER_MD})")
-    raw = np.zeros(3 * num_mds)
-    for m, idx in enumerate(indices):
-        if idx == 0:
-            continue
-        combo = idx - 1
-        pair = combo % _PAIRS
-        raw[m] = 1.0 if combo < _PAIRS else 0.0
-        raw[num_mds + m] = (pair // SHARE_LEVELS + 1) / SHARE_LEVELS
-        raw[2 * num_mds + m] = (pair % SHARE_LEVELS + 1) / SHARE_LEVELS
-    return raw
+    return decode_shares(CATALOG[indices].T.ravel())
 
 
 @dataclass

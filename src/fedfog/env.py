@@ -89,14 +89,13 @@ class EnvConfig:
     cycles_per_bit_range: tuple[float, float] = (200.0, 500.0)
     weight_delay: float = 0.5
     weight_energy: float = 0.5
-    slot_duration: float = 1.0          # s
     steps_per_episode: int = 50
     rng_seed: int = 0
     max_move_per_slot: float = 5.0      # m, uniform step length bound
 
     def __post_init__(self):
         for name in ("cell_side", "bandwidth", "fap_cpu", "noise_power",
-                     "path_loss_alpha", "slot_duration"):
+                     "path_loss_alpha"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("md_cpu_range", "md_power_range", "task_bits_range",
@@ -268,6 +267,26 @@ def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
     total_energy = float(per_energy.sum())
     cost = config.weight_delay * total_delay + config.weight_energy * total_energy
     return CostBreakdown(total_delay, total_energy, cost, per_delay, per_energy)
+
+
+def decode_shares(raw: np.ndarray) -> np.ndarray:
+    """Map a raw output [x, r_y, r_z] in [0, 1]^(3M) to [x, y, z] shares.
+
+    An MD is offloaded when x > 0.5. Within each share group an offloaded MD
+    i receives (1 + r_i) / sum_j (1 + r_j) over the offloaded MDs j, and an
+    MD run locally receives 0. The offloaded MDs therefore always spend the
+    whole budget, each keeps at least 1/(2k - 1) of it for k offloaded MDs,
+    and equal weights give the equal split. Both agents decode their
+    actions through this rule before sanitize_action.
+    """
+    raw = np.asarray(raw, dtype=float)
+    m = raw.size // 3
+    weights = (1.0 + raw[m:].reshape(2, m)) * (raw[:m] > 0.5)
+    totals = weights.sum(axis=1, keepdims=True)
+    out = raw.copy()
+    # both groups share the offload mask, so both totals are 0 or neither
+    out[m:] = (weights / totals).ravel() if totals[0, 0] > 0.0 else 0.0
+    return out
 
 
 def sanitize_action(raw: np.ndarray, eps: float = EPS_ALLOC) -> ActionVector:

@@ -12,6 +12,7 @@ all experience).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -189,7 +190,6 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
 
 
 def _write_checkpoint(checkpoint_dir, model: GlobalModel) -> None:
-    import os
     os.makedirs(checkpoint_dir, exist_ok=True)
     name = f"{model.agent_kind}-round{model.round_index:05d}.ckpt"
     save_round_checkpoint(os.path.join(checkpoint_dir, name), model)

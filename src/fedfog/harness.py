@@ -36,6 +36,9 @@ CSV_COLUMNS = ("run_id", "seed", "round", "mean_reward", "mean_cost",
                "mean_delay", "mean_energy")
 
 _AGG_METRICS = ("mean_reward", "mean_cost", "mean_delay", "mean_energy")
+# mean and population std over seeds of each metric, in _AGG_METRICS order
+_STAT_COLUMNS = tuple(f"{metric}_{stat}" for metric in _AGG_METRICS
+                      for stat in ("mean", "std"))
 
 
 @dataclass
@@ -305,6 +308,7 @@ class ExperimentResult:
     config: ExperimentConfig
     runs: dict                  # (kind, seed) -> RunOutput
     files: list
+    aggregate: list             # rows of aggregate.csv
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -333,9 +337,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                   [(rid, out.seed, *row) for row in out.rows])
         files.append(path)
 
-    agg_header = ["kind", "round"]
-    for metric in _AGG_METRICS:
-        agg_header += [f"{metric}_mean", f"{metric}_std"]
     agg_rows = []
     for kind in cfg.agent_kinds:
         per_seed = [runs[(kind, s)].rows for s in cfg.seeds]
@@ -345,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 row += _seed_stats([rows[j][col] for rows in per_seed])
             agg_rows.append(tuple(row))
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
-    write_csv(agg_path, agg_header, agg_rows)
+    write_csv(agg_path, ["kind", "round", *_STAT_COLUMNS], agg_rows)
     files.append(agg_path)
 
     eval_rows = [(run_id_for(cfg, k, s), s, cfg.rounds, *runs[(k, s)].final_eval)
@@ -362,10 +363,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                 for s in cfg.seeds])
         eval_agg_rows.append(tuple(row))
     eval_agg_path = os.path.join(cfg.out_dir, "eval-aggregate.csv")
-    write_csv(eval_agg_path, agg_header[:1] + agg_header[2:], eval_agg_rows)
+    write_csv(eval_agg_path, ["kind", *_STAT_COLUMNS], eval_agg_rows)
     files.append(eval_agg_path)
 
-    return ExperimentResult(cfg, runs, files)
+    return ExperimentResult(cfg, runs, files, agg_rows)
 
 
 def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
@@ -389,14 +390,10 @@ def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
             for col in range(4):
                 agg += _seed_stats([ev[col] for ev in evals])
             agg_rows.append(tuple(agg))
-    header = [label, "kind", "seed", *_AGG_METRICS]
-    agg_header = [label, "kind"]
-    for metric in _AGG_METRICS:
-        agg_header += [f"{metric}_mean", f"{metric}_std"]
     runs_path = os.path.join(cfg.out_dir, f"sweep-{label}-runs.csv")
     agg_path = os.path.join(cfg.out_dir, f"sweep-{label}.csv")
-    write_csv(runs_path, header, per_run_rows)
-    write_csv(agg_path, agg_header, agg_rows)
+    write_csv(runs_path, [label, "kind", "seed", *_AGG_METRICS], per_run_rows)
+    write_csv(agg_path, [label, "kind", *_STAT_COLUMNS], agg_rows)
     return agg_path, agg_rows
 
 
@@ -415,17 +412,12 @@ def sweep_fap_cpu(cfg: ExperimentConfig, f_list=None):
 
 
 def convergence_run(cfg: ExperimentConfig):
-    """Per-round reward curves for every kind, aggregated over seeds."""
+    """Per-round reward curves for every kind, aggregated over seeds: the
+    first four columns of aggregate.csv."""
     result = run_experiment(cfg)
-    rows = []
-    for kind in cfg.agent_kinds:
-        per_seed = [result.runs[(kind, s)].rows for s in cfg.seeds]
-        for j in range(cfg.rounds):
-            rows.append((kind, per_seed[0][j][0],
-                         *_seed_stats([r[j][1] for r in per_seed])))
     path = os.path.join(cfg.out_dir, "convergence.csv")
-    write_csv(path, ["kind", "round", "mean_reward_mean", "mean_reward_std"],
-              rows)
+    write_csv(path, ["kind", "round", *_STAT_COLUMNS[:2]],
+              [row[:4] for row in result.aggregate])
     return path, result
 
 

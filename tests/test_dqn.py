@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from fedfog.dqn import ACTIONS_PER_MD, SHARE_LEVELS, DqnAgent, DqnHyperParams, decode_action
-from fedfog.env import EnvConfig, FogCellEnv
+from fedfog.dqn import (ACTIONS_PER_MD, CATALOG, SHARE_LEVELS, DqnAgent,
+                        DqnHyperParams, decode_action)
+from fedfog.env import EnvConfig, FogCellEnv, sanitize_action
+from fedfog.federated import build_agent
 from fedfog.nn import forward
 from fedfog.replay import Transition
 
 
-def encode(offload, y_level, z_level):
-    """Inverse of decode_action for one MD, used to cross-check the catalog."""
-    block = 0 if offload else SHARE_LEVELS * SHARE_LEVELS
-    return 1 + block + (y_level - 1) * SHARE_LEVELS + (z_level - 1)
+def encode(y_level, z_level):
+    """Inverse of decode_action for one offloading MD, used to cross-check
+    the catalog."""
+    return 1 + (y_level - 1) * SHARE_LEVELS + (z_level - 1)
 
 
 def tiny_hp(**over):
@@ -23,54 +25,79 @@ def tiny_hp(**over):
 
 class TestDecodeAction:
     def test_catalog_size(self):
-        assert ACTIONS_PER_MD == 51
+        assert ACTIONS_PER_MD == 26
+        assert CATALOG.shape == (26, 3)
+        assert not CATALOG.flags.writeable
 
     def test_all_local(self):
         raw = decode_action([0, 0, 0], 3)
         np.testing.assert_array_equal(raw, np.zeros(9))
 
     def test_named_example(self):
-        # offload at compute level 3, bandwidth level 5 -> shares 0.6, 1.0
-        raw = decode_action([encode(True, 3, 5)], 1)
-        np.testing.assert_allclose(raw, [1.0, 0.6, 1.0])
+        # levels (3, 5) and (1, 1) -> weights 1.5, 1.0 and 2.0, 1.0
+        raw = decode_action([encode(3, 5), encode(1, 1)], 2)
+        np.testing.assert_allclose(raw, [1.0, 1.0, 0.6, 0.4, 2 / 3, 1 / 3])
 
     def test_low_indices_are_offload_combos(self):
-        # index 3 = combo 2 -> y level 1, z level 3; index 5 -> y 1, z 5
+        # index 3 -> y level 1, z level 3; index 5 -> y 1, z 5
         raw = decode_action([3, 5], 2)
-        np.testing.assert_allclose(raw, [1.0, 1.0, 0.2, 0.2, 0.6, 1.0])
+        np.testing.assert_allclose(raw, [1.0, 1.0, 0.5, 0.5, 3 / 7, 4 / 7])
 
     def test_top_share_combo(self):
-        raw = decode_action([encode(True, 5, 5)], 1)
-        np.testing.assert_allclose(raw, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(decode_action([encode(5, 5)], 1),
+                                   [1.0, 1.0, 1.0])
+        raw = decode_action([encode(5, 5), encode(1, 1)], 2)
+        np.testing.assert_allclose(raw, [1.0, 1.0, 2 / 3, 1 / 3, 2 / 3, 1 / 3])
 
     def test_level_grid_round_trip(self):
+        np.testing.assert_array_equal(CATALOG[0], [0.0, 0.0, 0.0])
         for y in range(1, 6):
             for z in range(1, 6):
-                raw = decode_action([encode(True, y, z)], 1)
-                assert raw[0] == 1.0
-                assert raw[1] == pytest.approx(y / 5)
-                assert raw[2] == pytest.approx(z / 5)
-        assert decode_action([encode(False, 1, 1)], 1)[0] == 0.0
+                row = CATALOG[encode(y, z)]
+                assert row[0] == 1.0
+                assert row[1] == pytest.approx((y - 1) / 4)
+                assert row[2] == pytest.approx((z - 1) / 4)
+                # beside an MD at the lowest levels, weight 1 + r vs 1
+                raw = decode_action([encode(y, z), encode(1, 1)], 2)
+                assert raw[2] == pytest.approx((1 + row[1]) / (2 + row[1]))
+                assert raw[4] == pytest.approx((1 + row[2]) / (2 + row[2]))
 
-    def test_clear_bit_block_collapses_to_local(self):
-        from fedfog.env import sanitize_action
-        for idx in range(26, 51):
-            raw = decode_action([idx], 1)
-            assert raw[0] == 0.0
-            act = sanitize_action(raw)
-            assert not act.offload[0]
-            assert act.compute_share[0] == 0.0
-            assert act.bandwidth_share[0] == 0.0
+    def test_every_nonzero_index_offloads(self):
+        for idx in range(1, ACTIONS_PER_MD):
+            act = sanitize_action(decode_action([idx], 1))
+            assert act.offload[0] == 1
+            assert act.compute_share[0] == 1.0
+            assert act.bandwidth_share[0] == 1.0
 
     def test_every_index_distinct_before_sanitization(self):
-        raws = {tuple(decode_action([i], 1)) for i in range(1, ACTIONS_PER_MD)}
+        raws = {tuple(decode_action([i, encode(1, 1)], 2))
+                for i in range(1, ACTIONS_PER_MD)}
         assert len(raws) == ACTIONS_PER_MD - 1
 
     def test_five_mds_at_level_one(self):
         # every MD offloading at the lowest level leaves the budgets exact
-        raw = decode_action([encode(True, 1, 1)] * 5, 5)
+        raw = decode_action([encode(1, 1)] * 5, 5)
         np.testing.assert_allclose(raw[5:10], 0.2)
         np.testing.assert_allclose(raw[10:15], 0.2)
+
+    def test_equal_levels_give_equal_split(self):
+        for idx in range(1, ACTIONS_PER_MD):
+            for k in range(1, 7):
+                raw = decode_action([idx] * k + [0], k + 1)
+                np.testing.assert_allclose(raw[k + 1:2 * k + 1], 1 / k,
+                                           rtol=1e-15)
+                np.testing.assert_allclose(raw[2 * k + 2:3 * k + 2], 1 / k,
+                                           rtol=1e-15)
+
+    def test_decoded_actions_pass_sanitize_unchanged(self):
+        rng = np.random.default_rng(0)
+        for m in range(1, 7):
+            rows = [np.full(m, i) for i in range(ACTIONS_PER_MD)]
+            rows += list(rng.integers(0, ACTIONS_PER_MD, size=(300, m)))
+            for indices in rows:
+                raw = decode_action(indices, m)
+                np.testing.assert_allclose(sanitize_action(raw).to_raw(), raw,
+                                           rtol=0, atol=1e-15)
 
     def test_local_mds_carry_zero_shares(self):
         raw = decode_action([0, 7], 2)
@@ -81,7 +108,7 @@ class TestDecodeAction:
         with pytest.raises(ValueError):
             decode_action([0, 1], 3)
         with pytest.raises(ValueError):
-            decode_action([51], 1)
+            decode_action([ACTIONS_PER_MD], 1)
         with pytest.raises(ValueError):
             decode_action([-1], 1)
 
@@ -236,6 +263,10 @@ class TestTrainingLoop:
         flat = agent.export_weights()
         np.testing.assert_array_equal(flat.values, agent.net.params)
         assert flat.activations == agent.net.activations
+
+    def test_paper_scale_upload_size(self):
+        agent = build_agent("dqn", EnvConfig(num_faps=4, mds_per_fap=5), 0)
+        assert agent.export_weights().values.size == 51630
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):

@@ -307,6 +307,15 @@ class TestCli:
         assert rc == 0
         assert (out / "convergence.csv").exists()
 
+    def test_convergence_is_aggregate_head(self, tiny_cfg_path, tmp_path):
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", tiny_cfg_path,
+                     "--out", str(out)]) == 0
+        aggregate = read_rows(out / "aggregate.csv")
+        assert aggregate[0][:4] == ["kind", "round", "mean_reward_mean",
+                                    "mean_reward_std"]
+        assert read_rows(out / "convergence.csv") == [r[:4] for r in aggregate]
+
     def test_eval_command_reads_checkpoint(self, tiny_cfg_path, tmp_path,
                                            capsys):
         out = tmp_path / "train-out"
