@@ -13,7 +13,6 @@ ActionVector), update_step() -> loss or None, and end_episode().
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ class EpisodeReport:
     mean_energy: float
     mean_critic_loss: float
     updates: int
-    wall_time: float
 
 
 class Agent:
@@ -45,29 +43,20 @@ class Agent:
 
     def train_episode(self, env: FogCellEnv) -> EpisodeReport:
         """Run one episode with exploration, learning after every step."""
-        t0 = time.perf_counter()
         state = env.reset()
-        steps = env.config.steps_per_episode
-        total_reward = 0.0
-        cost = delay = energy = 0.0
         losses = []
-        for _ in range(steps):
+        for _ in range(env.config.steps_per_episode):
             s = env.flatten_state(state)
             stored, action = self.act(s, explore=True)
             reward, state = env.step(action)
             self.buffer.add(s, stored, reward, env.flatten_state(state))
-            total_reward += reward
-            cost += env.last_cost.cost
-            delay += env.last_cost.total_delay
-            energy += env.last_cost.total_energy
             loss = self.update_step()
             if loss is not None:
                 losses.append(loss)
         self.end_episode()
-        return EpisodeReport(total_reward, cost / steps, delay / steps,
-                             energy / steps,
+        return EpisodeReport(*env.episode_metrics(),
                              float(np.mean(losses)) if losses else float("nan"),
-                             len(losses), time.perf_counter() - t0)
+                             len(losses))
 
     def policy(self):
         """Frozen greedy policy suitable for rollout_episode()."""

@@ -35,11 +35,14 @@ def _config_from(args) -> "ExperimentConfig":
 
 
 def _print_eval_summary(result) -> None:
+    """Per kind: the final eval cost over seeds, and the mean eval cost of
+    the last run.eval_last_rounds rounds (nan when none were evaluated)."""
     for kind in result.config.agent_kinds:
-        costs = [result.runs[(kind, s)].final_eval[1]
-                 for s in result.config.seeds]
+        runs = [result.runs[(kind, s)] for s in result.config.seeds]
+        costs = [run.final_eval[1] for run in runs]
+        tail = np.mean([run.tail_eval_cost for run in runs])
         print(f"{kind}: eval cost {np.mean(costs):.6g} "
-              f"(std {np.std(costs):.3g})")
+              f"(std {np.std(costs):.3g}), tail eval cost {tail:.6g}")
 
 
 def _cmd_train(args) -> int:
@@ -50,16 +53,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_sweep_mds(args) -> int:
-    cfg = _config_from(args)
-    path, _ = sweep_mds(cfg)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_sweep_cpu(args) -> int:
-    cfg = _config_from(args)
-    path, _ = sweep_fap_cpu(cfg)
+def _cmd_sweep(sweep, args) -> int:
+    path, _ = sweep(_config_from(args))
     print(f"wrote {path}")
     return 0
 
@@ -76,9 +71,8 @@ def _cmd_eval(args) -> int:
     cfg = _config_from(args)
     model = load_round_checkpoint(args.checkpoint)
     seed = cfg.seeds[0]
-    episodes = max(1, cfg.eval_episodes // cfg.env.num_faps)
     metrics = evaluate_global(model, cfg.env, make_eval_envs(cfg.env, seed),
-                              episodes, cfg.ddpg, cfg.dqn)
+                              cfg.final_eval_episodes(), cfg.ddpg, cfg.dqn)
     print(f"checkpoint {args.checkpoint} ({model.agent_kind}, "
           f"round {model.round_index})")
     print(f"mean reward {metrics[0]:.6g}  cost {metrics[1]:.6g}  "
@@ -100,10 +94,11 @@ def _cmd_oracle_check(args) -> int:
     """Quick self-consistency checks of the slot model and both solvers."""
     rng = np.random.default_rng(args.seed)
     trials = args.trials
-    failures = 0
+    failures = checks = 0
 
     def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
+        nonlocal failures, checks
+        checks += 1
         if ok:
             print(f"PASS {name}")
         else:
@@ -169,7 +164,7 @@ def _cmd_oracle_check(args) -> int:
                                                            flat.values))
 
     print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{4 - failures}/4 checks passed")
+          f"{checks - failures}/{checks} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -184,9 +179,9 @@ def main(argv=None) -> int:
         "train": ("train federated agents and evaluate all policies",
                   _cmd_train),
         "sweep-mds": ("cost of every policy vs number of MDs per cell",
-                      _cmd_sweep_mds),
+                      lambda args: _cmd_sweep(sweep_mds, args)),
         "sweep-cpu": ("cost of every policy vs FAP CPU frequency",
-                      _cmd_sweep_cpu),
+                      lambda args: _cmd_sweep(sweep_fap_cpu, args)),
         "convergence": ("per-round reward curves for every policy",
                         _cmd_convergence),
         "eval": ("evaluate a saved global-model checkpoint", _cmd_eval),

@@ -389,6 +389,7 @@ class FogCellEnv:
         self.state: SlotState | None = None
         self.last_cost: CostBreakdown | None = None
         self.t = 0
+        self._sums = (0.0, 0.0, 0.0, 0.0)  # reward, cost, delay, energy
 
     @property
     def state_dim(self) -> int:
@@ -417,6 +418,7 @@ class FogCellEnv:
         fap.md_energy_coeff = md_energy_coeff(fap.md_cpu_freq)
         self.t = 0
         self.last_cost = None
+        self._sums = (0.0, 0.0, 0.0, 0.0)
         self.state = self._observe()
         return self.state
 
@@ -434,10 +436,20 @@ class FogCellEnv:
         breakdown = slot_cost(self.state, action, self.fap, self.config)
         self.last_cost = breakdown
         reward = -breakdown.cost / self.config.mds_per_fap
+        r, c, d, e = self._sums
+        self._sums = (r + reward, c + breakdown.cost,
+                      d + breakdown.total_delay, e + breakdown.total_energy)
         self._move_devices()
         self.t += 1
         self.state = self._observe()
         return reward, self.state
+
+    def episode_metrics(self) -> tuple[float, float, float, float]:
+        """(total reward, mean cost, mean delay, mean energy) of the slots
+        played since reset(); the means are per-slot averages of the cell
+        totals."""
+        reward, cost, delay, energy = self._sums
+        return reward, cost / self.t, delay / self.t, energy / self.t
 
     def flatten_state(self, state: SlotState | None = None) -> np.ndarray:
         if state is None:
@@ -475,20 +487,9 @@ def _reflect(pos: np.ndarray, side: float) -> np.ndarray:
 
 
 def rollout_episode(env: FogCellEnv, policy, reset_seed=None):
-    """Run one full episode under `policy(env, state) -> ActionVector`.
-
-    Returns (total_reward, mean_cost, mean_delay, mean_energy) where the
-    means are per-slot averages of the cell totals.
-    """
+    """Run one full episode under `policy(env, state) -> ActionVector` and
+    return its env.episode_metrics()."""
     state = env.reset(seed=reset_seed)
-    steps = env.config.steps_per_episode
-    total_reward = 0.0
-    cost = delay = energy = 0.0
-    for _ in range(steps):
-        action = policy(env, state)
-        reward, state = env.step(action)
-        total_reward += reward
-        cost += env.last_cost.cost
-        delay += env.last_cost.total_delay
-        energy += env.last_cost.total_energy
-    return total_reward, cost / steps, delay / steps, energy / steps
+    for _ in range(env.config.steps_per_episode):
+        _, state = env.step(policy(env, state))
+    return env.episode_metrics()

@@ -13,8 +13,7 @@ all experience).
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,21 +35,17 @@ class GlobalModel:
 @dataclass
 class RoundReport:
     round_index: int
-    episode_rewards: list[float]        # one entry per FAP
     mean_reward: float                  # mean per-step system reward
     mean_cost: float
     mean_delay: float
     mean_energy: float
     eval_cost: float = float("nan")     # frozen-policy cost, when evaluated
-    wall_time: float = 0.0
 
 
 @dataclass
 class TrainingResult:
     reports: list[RoundReport]
     global_model: GlobalModel
-    agents: list = field(default_factory=list)
-    envs: list = field(default_factory=list)
 
 
 def federated_average(uploads: list[FlatWeights]) -> FlatWeights:
@@ -71,6 +66,11 @@ def federated_average(uploads: list[FlatWeights]) -> FlatWeights:
                        list(first.activations))
 
 
+def _column_means(rows) -> list[float]:
+    """Mean of each column of the per-episode metric `rows`."""
+    return [float(np.mean(col)) for col in zip(*rows)]
+
+
 def _spawn_seeds(master_seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(master_seed).spawn(n)
 
@@ -88,11 +88,9 @@ def build_agent(kind: str, env_cfg: EnvConfig, seed,
 
 
 def make_eval_envs(env_cfg: EnvConfig, seed: int) -> list[FogCellEnv]:
-    """Held-out evaluation envs, one per FAP.
-
-    Seeded from the same spawn layout as setup_federation so every policy
-    evaluated under a given master seed sees the same episode draws.
-    """
+    """Held-out evaluation envs, one per FAP, from the last N children of
+    the spawn layout of setup_federation, so every policy evaluated under a
+    given master seed sees the same episode draws."""
     n = env_cfg.num_faps
     seeds = _spawn_seeds(seed, 3 * n + 1)
     return [FogCellEnv(env_cfg, seed=seeds[1 + 2 * n + i]) for i in range(n)]
@@ -101,7 +99,8 @@ def make_eval_envs(env_cfg: EnvConfig, seed: int) -> list[FogCellEnv]:
 def setup_federation(env_cfg: EnvConfig, agent_kind: str, seed: int,
                      ddpg_hp: DdpgHyperParams | None = None,
                      dqn_hp: DqnHyperParams | None = None):
-    """Create one env + agent per FAP plus the shared initial global model.
+    """Create one env + agent per FAP, the eval envs, and the shared initial
+    global model.
 
     All randomness derives from `seed`; the agents start from identical
     weights (the dedicated init stream), as the protocol requires.
@@ -113,8 +112,7 @@ def setup_federation(env_cfg: EnvConfig, agent_kind: str, seed: int,
     envs = [FogCellEnv(env_cfg, seed=seeds[1 + i]) for i in range(n)]
     agents = [build_agent(agent_kind, env_cfg, seeds[1 + n + i], ddpg_hp, dqn_hp)
               for i in range(n)]
-    eval_envs = [FogCellEnv(env_cfg, seed=seeds[1 + 2 * n + i]) for i in range(n)]
-    return agents, envs, eval_envs, global_model
+    return agents, envs, make_eval_envs(env_cfg, seed), global_model
 
 
 def run_round(agents, envs, global_model: GlobalModel,
@@ -123,34 +121,20 @@ def run_round(agents, envs, global_model: GlobalModel,
 
     Any agent failure propagates and aborts the whole round.
     """
-    t0 = time.perf_counter()
     for agent in agents:
         agent.load_global(global_model.weights)
-    rewards, costs, delays, energies = [], [], [], []
+    rows = []
     for agent, env in zip(agents, envs):
-        agent_rewards = []
         for _ in range(episodes_per_round):
-            report = agent.train_episode(env)
-            agent_rewards.append(report.total_reward)
-            costs.append(report.mean_cost)
-            delays.append(report.mean_delay)
-            energies.append(report.mean_energy)
-        rewards.append(float(np.mean(agent_rewards)))
-    uploads = [agent.export_weights() for agent in agents]
-    averaged = federated_average(uploads)
-    steps = envs[0].config.steps_per_episode
+            agent.train_episode(env)
+            rows.append(env.episode_metrics())
+    reward, cost, delay, energy = _column_means(rows)
+    averaged = federated_average([agent.export_weights() for agent in agents])
     new_model = GlobalModel(averaged, global_model.round_index + 1,
                             global_model.agent_kind)
-    report = RoundReport(
-        round_index=new_model.round_index,
-        episode_rewards=rewards,
-        mean_reward=float(np.mean(rewards)) / steps,
-        mean_cost=float(np.mean(costs)),
-        mean_delay=float(np.mean(delays)),
-        mean_energy=float(np.mean(energies)),
-        wall_time=time.perf_counter() - t0,
-    )
-    return new_model, report
+    return new_model, RoundReport(
+        new_model.round_index, reward / envs[0].config.steps_per_episode,
+        cost, delay, energy)
 
 
 def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
@@ -186,7 +170,7 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
             _write_checkpoint(checkpoint_dir, model)
     if checkpoint_dir is not None:
         _write_checkpoint(checkpoint_dir, model)
-    return TrainingResult(reports, model, agents, envs)
+    return TrainingResult(reports, model)
 
 
 def _write_checkpoint(checkpoint_dir, model: GlobalModel) -> None:
@@ -201,17 +185,13 @@ def evaluate_policy(policy, eval_envs, episodes: int = 1):
     Returns (mean per-step reward, mean cost, mean delay, mean energy),
     each averaged per-slot and then across episodes.
     """
-    rewards, costs, delays, energies = [], [], [], []
+    rows = []
     for env in eval_envs:
         steps = env.config.steps_per_episode
         for _ in range(episodes):
             total, cost, delay, energy = rollout_episode(env, policy)
-            rewards.append(total / steps)
-            costs.append(cost)
-            delays.append(delay)
-            energies.append(energy)
-    return (float(np.mean(rewards)), float(np.mean(costs)),
-            float(np.mean(delays)), float(np.mean(energies)))
+            rows.append((total / steps, cost, delay, energy))
+    return tuple(_column_means(rows))
 
 
 def evaluate_global(model: GlobalModel, env_cfg: EnvConfig, eval_envs,

@@ -86,6 +86,11 @@ class ExperimentConfig:
         if any(f <= 0 for f in self.fap_cpu_sweep):
             raise ValueError("sweeps.fap_cpu entries must be > 0")
 
+    def final_eval_episodes(self) -> int:
+        """Held-out episodes per eval cell in a final evaluation: the
+        eval_episodes budget spread over the FAPs."""
+        return max(1, self.eval_episodes // self.env.num_faps)
+
 
 # Full-size scenario: more cells, more devices, longer runs. Sweep grids
 # bracket the defaults the same way the desk grids do.
@@ -216,10 +221,14 @@ def _round12(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
-def _seed_stats(values) -> list[float]:
-    """Mean and population std over seeds, each rounded to 12 digits."""
-    vals = np.array(values)
-    return [_round12(vals.mean()), _round12(vals.std())]
+def _seed_stats(rows) -> list[float]:
+    """Mean and population std over seeds of each column of the per-seed
+    metric `rows`, each rounded to 12 digits, in _STAT_COLUMNS order."""
+    stats = []
+    for col in zip(*rows):
+        vals = np.array(col)
+        stats += [_round12(vals.mean()), _round12(vals.std())]
+    return stats
 
 
 def _fmt(x) -> str:
@@ -264,8 +273,6 @@ class RunOutput:
 
 def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
     """Train (if the kind learns) and evaluate one (kind, seed) cell."""
-    n = cfg.env.num_faps
-    per_env_episodes = max(1, cfg.eval_episodes // n)
     if kind in TRAINED_KINDS:
         agent_kind = "ddpg" if kind == "fed-ddpg" else "dqn"
         ckpt_dir = None
@@ -282,14 +289,15 @@ def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
                 for r in result.reports]
         final_eval = evaluate_global(result.global_model, cfg.env,
                                      make_eval_envs(cfg.env, seed),
-                                     per_env_episodes, cfg.ddpg, cfg.dqn)
+                                     cfg.final_eval_episodes(),
+                                     cfg.ddpg, cfg.dqn)
         tail = [r.eval_cost for r in result.reports
                 if not math.isnan(r.eval_cost)]
         tail_cost = float(np.mean(tail)) if tail else float("nan")
     else:
         metrics = evaluate_policy(_policy_for(kind),
                                   make_eval_envs(cfg.env, seed),
-                                  per_env_episodes)
+                                  cfg.final_eval_episodes())
         # no training: the "curve" is the constant evaluated level
         rows = [(j + 1, *(_round12(v) for v in metrics))
                 for j in range(cfg.rounds)]
@@ -309,6 +317,7 @@ class ExperimentResult:
     runs: dict                  # (kind, seed) -> RunOutput
     files: list
     aggregate: list             # rows of aggregate.csv
+    eval_aggregate: list        # rows of eval-aggregate.csv
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -341,10 +350,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for kind in cfg.agent_kinds:
         per_seed = [runs[(kind, s)].rows for s in cfg.seeds]
         for j in range(cfg.rounds):
-            row = [kind, per_seed[0][j][0]]
-            for col in range(1, 5):
-                row += _seed_stats([rows[j][col] for rows in per_seed])
-            agg_rows.append(tuple(row))
+            agg_rows.append((kind, per_seed[0][j][0], *_seed_stats(
+                [rows[j][1:] for rows in per_seed])))
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
     write_csv(agg_path, ["kind", "round", *_STAT_COLUMNS], agg_rows)
     files.append(agg_path)
@@ -355,22 +362,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     write_csv(eval_path, CSV_COLUMNS, eval_rows)
     files.append(eval_path)
 
-    eval_agg_rows = []
-    for kind in cfg.agent_kinds:
-        row = [kind]
-        for col in range(4):
-            row += _seed_stats([runs[(kind, s)].final_eval[col]
-                                for s in cfg.seeds])
-        eval_agg_rows.append(tuple(row))
+    eval_agg_rows = [(kind, *_seed_stats([runs[(kind, s)].final_eval
+                                          for s in cfg.seeds]))
+                     for kind in cfg.agent_kinds]
     eval_agg_path = os.path.join(cfg.out_dir, "eval-aggregate.csv")
     write_csv(eval_agg_path, ["kind", *_STAT_COLUMNS], eval_agg_rows)
     files.append(eval_agg_path)
 
-    return ExperimentResult(cfg, runs, files, agg_rows)
+    return ExperimentResult(cfg, runs, files, agg_rows, eval_agg_rows)
 
 
 def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
-    """Shared sweep loop: one run_experiment per grid value, then aggregate."""
+    """Shared sweep loop: one run_experiment per grid value, whose
+    eval-aggregate rows become the sweep's rows."""
     cfg.validate()
     per_run_rows = []
     agg_rows = []
@@ -382,14 +386,9 @@ def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
                       save_checkpoints=False,
                       out_dir=os.path.join(cfg.out_dir, f"{label}-{_fmt(value)}"))
         result = run_experiment(sub)
-        for kind in cfg.agent_kinds:
-            evals = [result.runs[(kind, s)].final_eval for s in cfg.seeds]
-            for s, ev in zip(cfg.seeds, evals):
-                per_run_rows.append((value, kind, s, *ev))
-            agg = [value, kind]
-            for col in range(4):
-                agg += _seed_stats([ev[col] for ev in evals])
-            agg_rows.append(tuple(agg))
+        per_run_rows += [(value, kind, s, *result.runs[(kind, s)].final_eval)
+                         for kind in cfg.agent_kinds for s in cfg.seeds]
+        agg_rows += [(value, *row) for row in result.eval_aggregate]
     runs_path = os.path.join(cfg.out_dir, f"sweep-{label}-runs.csv")
     agg_path = os.path.join(cfg.out_dir, f"sweep-{label}.csv")
     write_csv(runs_path, [label, "kind", "seed", *_AGG_METRICS], per_run_rows)

@@ -307,21 +307,27 @@ def save_checkpoint(path, flat: FlatWeights, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[FlatWeights, dict]:
+    """Read a save_checkpoint file. A file that is not one, has another
+    version, or is truncated or malformed raises ValueError naming `path`."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a weight checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path} has checkpoint version {version}; this "
-                             f"build reads version {_CKPT_VERSION} only")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        (count,) = struct.unpack("<Q", fh.read(8))
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(float)
-    if values.size != count:
-        raise ValueError("checkpoint truncated")
-    flat = FlatWeights(values,
-                       [tuple(s) for s in header["shapes"]],
-                       list(header["offsets"]),
-                       list(header["activations"]))
-    return flat, header.get("meta", {})
+        blob = fh.read()
+    if blob[:4] != _CKPT_MAGIC:
+        raise ValueError(f"{path} is not a weight checkpoint")
+    try:
+        version, hlen = struct.unpack_from("<II", blob, 4)
+        if version == _CKPT_VERSION:
+            header = json.loads(blob[12:12 + hlen])
+            (count,) = struct.unpack_from("<Q", blob, 12 + hlen)
+            values = np.frombuffer(blob, "<f8", count, 20 + hlen)
+            flat = FlatWeights(values.astype(float),
+                               [tuple(s) for s in header["shapes"]],
+                               list(header["offsets"]),
+                               list(header["activations"]))
+            meta = header.get("meta", {})
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is truncated or malformed: "
+                         f"{type(exc).__name__}: {exc}") from None
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path} has checkpoint version {version}; this "
+                         f"build reads version {_CKPT_VERSION} only")
+    return flat, meta

@@ -184,13 +184,12 @@ def _desk_run(kind, seed):
     """One desk-scale training of the gate, run in a worker process.
 
     DDPG comes with the paired baseline evaluations and `ddpg_wall`, the
-    wall time of both measured here; the result keeps the round reports and
-    the global model, not the agents and envs.
+    wall time of both measured here.
     """
     t0 = time.perf_counter()
     if kind == "dqn":
         run = run_training(DESK, "dqn", seed, ROUNDS, dqn_hp=ACCEPT_DQN)
-        return {"dqn": replace(run, agents=[], envs=[])}
+        return {"dqn": run}
     ddpg = run_training(DESK, "ddpg", seed, ROUNDS, ddpg_hp=ACCEPT_DDPG,
                         eval_last_rounds=TAIL)
     base = {}
@@ -199,7 +198,7 @@ def _desk_run(kind, seed):
                       ("oracle", oracle_policy)):
         base[name] = evaluate_policy(pol, make_eval_envs(DESK, seed),
                                      episodes=TAIL)[1]
-    return {"ddpg": replace(ddpg, agents=[], envs=[]), "base": base,
+    return {"ddpg": ddpg, "base": base,
             "ddpg_wall": time.perf_counter() - t0}
 
 

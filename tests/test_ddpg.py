@@ -139,7 +139,8 @@ class TestDecodeShares:
         rep = agent.train_episode(FogCellEnv(cfg, seed=34))
         assert rep.updates == 0
         greedy = rollout_episode(FogCellEnv(cfg, seed=34), agent.policy())
-        assert rep.total_reward == greedy[0]
+        assert (rep.total_reward, rep.mean_cost, rep.mean_delay,
+                rep.mean_energy) == greedy
         env = FogCellEnv(cfg, seed=34)
         state = env.reset()
         s = env.flatten_state(state)

@@ -394,6 +394,23 @@ class TestEnvLifecycle:
         assert reward <= 0.0
         assert reward == pytest.approx(expect, rel=1e-12)
 
+    def test_episode_metrics_sum_the_slot_costs(self):
+        cfg = EnvConfig(steps_per_episode=7)
+        env = FogCellEnv(cfg, seed=41)
+        rng = np.random.default_rng(41)
+        for _ in range(2):          # the second episode starts from zero
+            env.reset()
+            reward = cost = delay = energy = 0.0
+            for _ in range(cfg.steps_per_episode):
+                r, _ = env.step(sanitize_action(
+                    rng.uniform(0, 1, size=cfg.action_dim)))
+                reward += r
+                cost += env.last_cost.cost
+                delay += env.last_cost.total_delay
+                energy += env.last_cost.total_energy
+            assert env.episode_metrics() == (reward, cost / 7, delay / 7,
+                                             energy / 7)
+
     def test_step_past_end_raises(self):
         cfg = EnvConfig(steps_per_episode=2, mds_per_fap=1)
         env = FogCellEnv(cfg, seed=0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedfog.cli import main
+from fedfog.federated import run_training
 from fedfog.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
                             load_config, rounds_to_threshold, run_experiment,
                             sweep_fap_cpu, sweep_mds, write_csv)
@@ -266,6 +267,20 @@ class TestSweeps:
         orc = [r for r in rows if r[1] == "oracle"]
         assert orc[1][2 + 2 * 1] <= orc[0][2 + 2 * 1]
 
+    def test_sweep_rows_are_the_eval_aggregates(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        cfg.agent_kinds = ["local", "fap-equal", "oracle"]
+        cfg.sweep_rounds = 1
+        path, _ = sweep_mds(cfg, m_list=[1, 2])
+        sweep = read_rows(path)
+        want = []
+        for m in ("1", "2"):
+            agg = read_rows(tmp_path / "out" / f"num_mds-{m}"
+                            / "eval-aggregate.csv")
+            assert sweep[0][1:] == agg[0]
+            want += [[m, *row] for row in agg[1:]]
+        assert sweep[1:] == want
+
 
 class TestThreshold:
     def test_first_crossing(self):
@@ -284,6 +299,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert "eval cost" in captured.out
         assert (out / "eval.csv").exists()
+        # the tail is the mean eval cost of the last run.eval_last_rounds
+        # rounds; for an untrained kind it is its eval cost
+        cfg = load_config(tiny_cfg_path)
+        tail = run_training(cfg.env, "ddpg", 1, cfg.rounds, ddpg_hp=cfg.ddpg,
+                            eval_last_rounds=1).reports[-1].eval_cost
+        ddpg_line = next(line for line in captured.out.splitlines()
+                         if line.startswith("fed-ddpg:"))
+        assert ddpg_line.endswith(f"tail eval cost {tail:.6g}")
+        local_cost = float(next(row for row in read_rows(out / "eval.csv")
+                                if "-local-" in row[0])[4])
+        assert f"local: eval cost {local_cost:.6g} (std 0), tail eval cost " \
+            f"{local_cost:.6g}" in captured.out
 
     def test_sweep_commands(self, tiny_cfg_path, tmp_path):
         out = tmp_path / "sweeps"
@@ -334,7 +361,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
-        assert "OK" in out
+        assert "OK: 4/4 checks passed" in out
 
     def test_invalid_config_reports_and_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

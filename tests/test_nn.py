@@ -1,5 +1,9 @@
 """Dense-network substrate: forward, backprop, Adam, weight serialization."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -311,6 +315,33 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", [
+        "cut in version", "cut in header length", "cut in header",
+        "cut in value count", "cut in values",
+        "no shapes", "no offsets", "no activations"])
+    def test_malformed_file_rejected_naming_path(self, tmp_path, damage):
+        path = tmp_path / "weights.ckpt"
+        rng = np.random.default_rng(40)
+        save_checkpoint(path, flatten_mlp(make_net(rng, (3, 4, 2), "sigmoid")))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        cuts = {"cut in version": 6, "cut in header length": 10,
+                "cut in header": 12 + hlen // 2,
+                "cut in value count": 16 + hlen,
+                "cut in values": len(blob) - 4}
+        if damage in cuts:
+            blob = blob[:cuts[damage]]
+        else:
+            header = json.loads(blob[12:12 + hlen])
+            del header[damage.split()[1]]
+            text = json.dumps(header).encode()
+            blob = (blob[:8] + struct.pack("<I", len(text)) + text
+                    + blob[12 + hlen:])
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as exc:
+            load_checkpoint(path)
+        assert type(exc.value) is ValueError
 
 
 class TestInit:
