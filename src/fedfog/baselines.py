@@ -48,7 +48,7 @@ def closed_form_allocation(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         return np.zeros(0)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+    if not ((w > 0) & (w < np.inf)).all():
         raise ValueError("allocation weights must be positive and finite")
     root = np.sqrt(w)
     return root / root.sum()

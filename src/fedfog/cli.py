@@ -23,8 +23,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="replace the config's seed list with this seed")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory for CSVs and checkpoints")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel (kind, seed) cells")
     parser.add_argument("--preset", default=None, choices=sorted(PRESETS),
                         help="named scenario applied before the config file")
 
@@ -68,7 +66,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.preset, args.seed, args.out)
     model = load_round_checkpoint(args.checkpoint)
     seed = cfg.seeds[0]
     metrics = evaluate_global(model, cfg.env, make_eval_envs(cfg.env, seed),
@@ -190,13 +188,17 @@ def main(argv=None) -> int:
     }
     for name, (help_text, _) in commands.items():
         p = sub.add_parser(name, help=help_text)
+        if name == "oracle-check":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=20)
+            continue
         _add_common(p)
         if name == "eval":
             p.add_argument("--checkpoint", required=True, metavar="PATH",
                            help="checkpoint written during training")
-        if name == "oracle-check":
-            p.add_argument("--trials", type=int, default=20)
-            p.set_defaults(seed=0)
+        else:
+            p.add_argument("--workers", type=int, default=None,
+                           help="parallel (kind, seed) cells")
 
     args = parser.parse_args(argv)
     try:

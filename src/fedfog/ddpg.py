@@ -92,7 +92,6 @@ class DdpgAgent(Agent):
                  hp: DdpgHyperParams | None = None, seed=0):
         self.hp = hp or DdpgHyperParams()
         self.state_dim = state_dim
-        self.action_dim = action_dim
         self.rng = np.random.default_rng(seed)
         h1, h2 = self.hp.hidden
         self.actor = init_mlp(self.rng, [state_dim, h1, h2, action_dim],

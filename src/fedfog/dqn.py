@@ -85,7 +85,6 @@ class DqnAgent(Agent):
     def __init__(self, state_dim: int, num_mds: int,
                  hp: DqnHyperParams | None = None, seed=0):
         self.hp = hp or DqnHyperParams()
-        self.state_dim = state_dim
         self.num_mds = num_mds
         self.rng = np.random.default_rng(seed)
         h1, h2 = self.hp.hidden

@@ -87,10 +87,8 @@ class EnvConfig:
     path_loss_alpha: float = 4.0
     task_bits_range: tuple[float, float] = (200.0 * BITS_PER_KB, 300.0 * BITS_PER_KB)
     cycles_per_bit_range: tuple[float, float] = (200.0, 500.0)
-    weight_delay: float = 0.5
-    weight_energy: float = 0.5
+    weight_delay: float = 0.5           # omega; the energy weight is 1 - omega
     steps_per_episode: int = 50
-    rng_seed: int = 0
     max_move_per_slot: float = 5.0      # m, uniform step length bound
 
     def __post_init__(self):
@@ -113,8 +111,10 @@ class EnvConfig:
             raise ValueError("max_move_per_slot must be >= 0")
         if not 0.0 <= self.weight_delay <= 1.0:
             raise ValueError("weight_delay must lie in [0, 1]")
-        if abs(self.weight_delay + self.weight_energy - 1.0) > 1e-9:
-            raise ValueError("weight_delay + weight_energy must equal 1")
+
+    @property
+    def weight_energy(self) -> float:
+        return 1.0 - self.weight_delay
 
     @property
     def state_dim(self) -> int:
@@ -169,7 +169,7 @@ class ActionVector:
     compute_share: np.ndarray           # (M,) in [0, 1]
     bandwidth_share: np.ndarray         # (M,) in [0, 1]
 
-    def validate(self, eps: float = EPS_ALLOC) -> None:
+    def validate(self) -> None:
         """Raise ActionConstraintError naming the first violated constraint.
 
         Both share groups are checked at once as one (2, M) array; the
@@ -185,10 +185,10 @@ class ActionVector:
         if (not (offloaded | (self.offload == 0)).all()
                 or shares.min() < 0 or shares.max() > 1
                 or shares.sum(axis=1).max() > 1.0 + _SUM_TOL
-                or (offloaded & (shares < eps - 1e-15)).any()):
-            self._name_violation(eps)
+                or (offloaded & (shares < EPS_ALLOC - 1e-15)).any()):
+            self._name_violation()
 
-    def _name_violation(self, eps: float) -> None:
+    def _name_violation(self) -> None:
         if not np.all((self.offload == 0) | (self.offload == 1)):
             raise ActionConstraintError("offload not binary")
         for name, share in (("compute_share", self.compute_share),
@@ -198,11 +198,11 @@ class ActionVector:
             total = float(share.sum())
             if total > 1.0 + _SUM_TOL:
                 raise ActionConstraintError(f"sum({name}) > 1", f"sum={total!r}")
-            floor_ok = share[self.offload == 1] >= eps - 1e-15
+            floor_ok = share[self.offload == 1] >= EPS_ALLOC - 1e-15
             if not np.all(floor_ok):
                 raise ActionConstraintError(
                     f"{name} below minimum share for an offloaded MD",
-                    f"floor={eps}")
+                    f"floor={EPS_ALLOC}")
 
     def to_raw(self) -> np.ndarray:
         """Concatenated [x, y, z] vector in actor output order."""
@@ -289,14 +289,13 @@ def decode_shares(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def sanitize_action(raw: np.ndarray, eps: float = EPS_ALLOC) -> ActionVector:
+def sanitize_action(raw: np.ndarray) -> ActionVector:
     """Project a raw actor output in [0, 1]^(3M) onto the feasible action set.
 
     Offload decisions are thresholded at 0.5. Shares of non-offloaded MDs are
-    zeroed; shares of offloaded MDs are floored at `eps` and, when a group's
-    sum exceeds 1, the surplus above the floor is scaled down so the group
-    sums to 1 while every offloaded MD keeps at least `eps`. The projection
-    is idempotent.
+    zeroed; shares of offloaded MDs are floored at EPS_ALLOC and, when a
+    group's sum exceeds 1, the surplus above the floor is scaled down so the
+    group sums to 1 with every floor kept. The projection is idempotent.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size % 3 != 0 or raw.size == 0:
@@ -308,16 +307,18 @@ def sanitize_action(raw: np.ndarray, eps: float = EPS_ALLOC) -> ActionVector:
     k = int(mask.sum())
     shares = []
     for group in (raw[m:2 * m], raw[2 * m:]):
-        s = np.where(mask, np.maximum(group, eps), 0.0)
+        s = np.where(mask, np.maximum(group, EPS_ALLOC), 0.0)
         total = float(s.sum())
         if total > 1.0:
-            if k * eps >= 1.0:
+            floor = k * EPS_ALLOC
+            if floor >= 1.0:
                 raise ActionConstraintError(
                     "infeasible share floor",
-                    f"{k} offloaded MDs at floor {eps} exceed the budget")
+                    f"{k} offloaded MDs at floor {EPS_ALLOC} exceed the budget")
             # Rescale only the surplus above the floor: the floor survives
             # and the group lands exactly on the unit budget.
-            s = np.where(mask, eps + (s - eps) * (1.0 - k * eps) / (total - k * eps), 0.0)
+            s = np.where(mask, EPS_ALLOC + (s - EPS_ALLOC) * (1.0 - floor)
+                         / (total - floor), 0.0)
             excess = float(s.sum()) - 1.0
             while excess > 0.0:   # shave float residue off the largest share
                 s[int(np.argmax(s))] -= excess
@@ -374,10 +375,9 @@ class FogCellEnv:
     tasks, mobility) flows from the instance seed.
     """
 
-    def __init__(self, config: EnvConfig, seed=None):
+    def __init__(self, config: EnvConfig, seed):
         self.config = config
-        self._seed = config.rng_seed if seed is None else seed
-        self._rng = np.random.default_rng(self._seed)
+        self._rng = np.random.default_rng(seed)
         # the MD arrays are drawn by reset()
         self.fap = FogAccessPoint(
             position=np.array([config.cell_side / 2.0, config.cell_side / 2.0]),
@@ -391,14 +391,6 @@ class FogCellEnv:
         self.t = 0
         self._sums = (0.0, 0.0, 0.0, 0.0)  # reward, cost, delay, energy
 
-    @property
-    def state_dim(self) -> int:
-        return self.config.state_dim
-
-    @property
-    def action_dim(self) -> int:
-        return self.config.action_dim
-
     def reset(self, seed=None) -> SlotState:
         """Start a fresh episode; equal seeds reproduce it exactly.
 
@@ -407,7 +399,6 @@ class FogCellEnv:
         whole episode.
         """
         if seed is not None:
-            self._seed = seed
             self._rng = np.random.default_rng(seed)
         cfg = self.config
         m = cfg.mds_per_fap
@@ -451,9 +442,7 @@ class FogCellEnv:
         reward, cost, delay, energy = self._sums
         return reward, cost / self.t, delay / self.t, energy / self.t
 
-    def flatten_state(self, state: SlotState | None = None) -> np.ndarray:
-        if state is None:
-            state = self.state
+    def flatten_state(self, state: SlotState) -> np.ndarray:
         return flatten_state(state, self.config)
 
     def _observe(self) -> SlotState:
@@ -486,10 +475,10 @@ def _reflect(pos: np.ndarray, side: float) -> np.ndarray:
     return np.where(folded > side, period - folded, folded)
 
 
-def rollout_episode(env: FogCellEnv, policy, reset_seed=None):
+def rollout_episode(env: FogCellEnv, policy):
     """Run one full episode under `policy(env, state) -> ActionVector` and
     return its env.episode_metrics()."""
-    state = env.reset(seed=reset_seed)
+    state = env.reset()
     for _ in range(env.config.steps_per_episode):
         _, state = env.step(policy(env, state))
     return env.episode_metrics()

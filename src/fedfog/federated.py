@@ -142,7 +142,6 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
                  ddpg_hp: DdpgHyperParams | None = None,
                  dqn_hp: DqnHyperParams | None = None,
                  eval_last_rounds: int = 0,
-                 eval_episodes: int = 1,
                  checkpoint_dir=None,
                  checkpoint_every: int = 0) -> TrainingResult:
     """Full federated run: `rounds` rounds of run_round from a fresh setup.
@@ -157,13 +156,13 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
         raise ValueError("episodes_per_round must be >= 1")
     agents, envs, eval_envs, model = setup_federation(
         env_cfg, agent_kind, seed, ddpg_hp, dqn_hp)
+    greedy = build_agent(agent_kind, env_cfg, 0, ddpg_hp, dqn_hp)
     reports = []
     for j in range(rounds):
         model, report = run_round(agents, envs, model, episodes_per_round)
         if eval_last_rounds and j >= rounds - eval_last_rounds:
-            metrics = evaluate_global(model, env_cfg, eval_envs,
-                                      eval_episodes, ddpg_hp, dqn_hp)
-            report.eval_cost = metrics[1]
+            greedy.load_global(model.weights)
+            report.eval_cost = evaluate_policy(greedy.policy(), eval_envs)[1]
         reports.append(report)
         if checkpoint_dir is not None and checkpoint_every > 0 \
                 and (j + 1) % checkpoint_every == 0:
@@ -195,9 +194,8 @@ def evaluate_policy(policy, eval_envs, episodes: int = 1):
 
 
 def evaluate_global(model: GlobalModel, env_cfg: EnvConfig, eval_envs,
-                    episodes: int = 1,
-                    ddpg_hp: DdpgHyperParams | None = None,
-                    dqn_hp: DqnHyperParams | None = None):
+                    episodes: int, ddpg_hp: DdpgHyperParams | None,
+                    dqn_hp: DqnHyperParams | None):
     """evaluate_policy for the greedy policy of a global model."""
     agent = build_agent(model.agent_kind, env_cfg, 0, ddpg_hp, dqn_hp)
     agent.load_global(model.weights)

@@ -282,7 +282,7 @@ def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
         result = run_training(
             cfg.env, agent_kind, seed, cfg.rounds, cfg.episodes_per_round,
             ddpg_hp=cfg.ddpg, dqn_hp=cfg.dqn,
-            eval_last_rounds=cfg.eval_last_rounds, eval_episodes=1,
+            eval_last_rounds=cfg.eval_last_rounds,
             checkpoint_dir=ckpt_dir, checkpoint_every=cfg.checkpoint_every)
         rows = [(r.round_index, _round12(r.mean_reward), _round12(r.mean_cost),
                  _round12(r.mean_delay), _round12(r.mean_energy))

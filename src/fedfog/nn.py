@@ -57,10 +57,6 @@ class Mlp:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, list(self.activations))
 
@@ -92,6 +88,11 @@ def workspace(size: int) -> np.ndarray:
     return _work[:size]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments for one flat parameter vector."""
@@ -100,9 +101,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
@@ -139,8 +137,6 @@ def init_mlp(rng, dims: list[int], output_activation: str = "linear",
     0.5 rather than saturating, which keeps early actions inside the share
     budget instead of slamming against it.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
     for act in (hidden_activation, output_activation):
@@ -253,20 +249,20 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         raise FloatingPointError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     work = workspace(2 * params.size)
     step, denom = work[:params.size], work[params.size:]
     m, v = state.m, state.v
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, grad, out=step)
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, grad, out=denom)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=denom)
     denom *= grad
     v += denom
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     np.divide(m, bc1, out=step)
     step *= state.lr
     step /= denom

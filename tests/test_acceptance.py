@@ -249,8 +249,10 @@ def test_criterion_5_learning_efficacy(desk_runs, capsys):
                 if not math.isnan(r.eval_cost)]
         assert len(tail) == TAIL
         tails.append(float(np.mean(tail)))
-        per_seed.append(f"s{seed}: {tails[-1]:.4f}, offload "
-                        f"{_offload_rate(run['ddpg'].global_model, seed):.0%}")
+        margin = run["base"]["equal"] - tails[-1]
+        offload = _offload_rate(run["ddpg"].global_model, seed)
+        per_seed.append(f"s{seed}: {tails[-1]:.4f}, equal margin "
+                        f"{margin:+.5f}, offload {offload:.0%}")
         local_c.append(run["base"]["local"])
         equal_c.append(run["base"]["equal"])
         oracle_c.append(run["base"]["oracle"])

@@ -85,7 +85,8 @@ class TestClosedFormAllocation:
                                    closed_form_allocation(w * 123.0), rtol=1e-12)
 
     def test_bad_weights_rejected(self):
-        for bad in ([0.0, 1.0], [-1.0, 2.0], [np.inf, 1.0], [np.nan]):
+        for bad in ([0.0, 1.0], [-1.0, 2.0], [np.inf, 1.0], [-np.inf, 1.0],
+                    [np.nan]):
             with pytest.raises(ValueError):
                 closed_form_allocation(bad)
 

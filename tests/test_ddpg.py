@@ -370,7 +370,7 @@ class TestTrainingLoop:
         assert agent.update_step() is None
 
     def test_report_cost_identity(self):
-        cfg = self.env_cfg(weight_delay=0.3, weight_energy=0.7)
+        cfg = self.env_cfg(weight_delay=0.3)
         env = FogCellEnv(cfg, seed=1)
         agent = DdpgAgent(cfg.state_dim, cfg.action_dim, tiny_hp(), seed=1)
         rep = agent.train_episode(env)

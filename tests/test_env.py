@@ -65,9 +65,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="md_cpu_range"):
             EnvConfig(md_cpu_range=(2e9, 1e9))
         with pytest.raises(ValueError, match="weight_delay"):
-            EnvConfig(weight_delay=0.3, weight_energy=0.3)
+            EnvConfig(weight_delay=1.5)
         with pytest.raises(ValueError, match="mds_per_fap"):
             EnvConfig(mds_per_fap=0)
+
+    def test_energy_weight_is_one_minus_delay_weight(self):
+        assert EnvConfig(weight_delay=0.3).weight_energy == 0.7
+        with pytest.raises(TypeError):
+            EnvConfig(weight_energy=0.5)
 
 
 def gain_at(*points):
@@ -188,7 +193,7 @@ class TestSlotCost:
 
     def test_weight_degeneracy(self):
         rng = np.random.default_rng(1)
-        cfg = EnvConfig(mds_per_fap=3, weight_delay=1.0, weight_energy=0.0)
+        cfg = EnvConfig(mds_per_fap=3, weight_delay=1.0)
         state, fap = random_slot(rng, cfg)
         action = ActionVector(np.zeros(3, dtype=int), np.zeros(3), np.zeros(3))
         out = slot_cost(state, action, fap, cfg)
@@ -201,8 +206,7 @@ class TestSlotCost:
                               np.full(3, 1 / 3))
         outs = {}
         for wd in (0.2, 0.5, 0.8):
-            cfg = EnvConfig(mds_per_fap=3, weight_delay=wd,
-                            weight_energy=1.0 - wd)
+            cfg = EnvConfig(mds_per_fap=3, weight_delay=wd)
             outs[wd] = slot_cost(state, action, fap, cfg)
         for wd, out in outs.items():
             assert out.cost == pytest.approx(
@@ -368,6 +372,10 @@ class TestEnvLifecycle:
         np.testing.assert_array_equal(a.task_bits, b.task_bits)
         np.testing.assert_array_equal(a.md_positions, b.md_positions)
         np.testing.assert_array_equal(a.channel_gains, b.channel_gains)
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError):
+            FogCellEnv(EnvConfig())
 
     def test_identical_action_sequence_identical_rewards(self):
         cfg = EnvConfig()

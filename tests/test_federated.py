@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedfog.federated as fed
@@ -84,11 +84,18 @@ class TestFederatedAverage:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
                     min_size=1, max_size=6))
+    @example([[996116.0] * 4, [-996009.9999999999] * 4])
     def test_linearity_property(self, rows):
         flats = [flat_like(r) for r in rows]
         out = federated_average(flats)
-        expect = np.mean(np.array(rows, dtype=float), axis=0)
-        np.testing.assert_allclose(out.values, expect, rtol=1e-12, atol=1e-12)
+        values = np.array(rows, dtype=float)
+        expect = np.mean(values, axis=0)
+        # Uploads that nearly cancel leave a mean far below the inputs, and
+        # both means round at the inputs' scale (the example above is off by
+        # half an input ulp), so the bound scales with the inputs.
+        scale = max(1.0, float(np.abs(values).max()))
+        atol = 4 * np.finfo(float).eps * len(rows) * scale
+        np.testing.assert_allclose(out.values, expect, rtol=1e-12, atol=atol)
 
 
 class TestSetup:
@@ -175,7 +182,7 @@ class TestRounds:
                                       global_w.values)
 
     def test_round_report_metric_identity(self):
-        cfg = small_env(weight_delay=0.4, weight_energy=0.6)
+        cfg = small_env(weight_delay=0.4)
         res = run_training(cfg, "ddpg", seed=5, rounds=2, ddpg_hp=small_ddpg())
         for rep in res.reports:
             assert rep.mean_cost == pytest.approx(

@@ -364,13 +364,25 @@ class TestCli:
         assert "OK: 4/4 checks passed" in out
 
     def test_invalid_config_reports_and_fails(self, tmp_path, capsys):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("env:\n  warp_drive: 11\n")
-        rc = main(["train", "--config", str(bad)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "env.warp_drive" in err
+        for key in ("warp_drive", "rng_seed", "weight_energy"):
+            bad = tmp_path / "bad.yaml"
+            bad.write_text(f"env:\n  {key}: 0.5\n")
+            rc = main(["train", "--config", str(bad)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "error:" in err
+            assert f"unknown config field env.{key}" in err
+
+    def test_unread_flags_refused(self, tmp_path):
+        ckpt = str(tmp_path / "model.ckpt")
+        for argv in (["oracle-check", "--config", "x.yaml"],
+                     ["oracle-check", "--preset", "paper-scale"],
+                     ["oracle-check", "--workers", "9"],
+                     ["oracle-check", "--out", str(tmp_path)],
+                     ["eval", "--checkpoint", ckpt, "--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")])
