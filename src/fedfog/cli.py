@@ -155,7 +155,7 @@ def _cmd_oracle_check(args) -> int:
 
     # consensus averaging returns the input vector bit-exactly
     from .ddpg import DdpgAgent
-    agent = DdpgAgent(5, 3, seed=args.seed)
+    agent = DdpgAgent(1, seed=args.seed)
     flat = agent.export_weights()
     avg = federated_average([flat, flat, flat])
     report("federated averaging consensus", np.array_equal(avg.values,

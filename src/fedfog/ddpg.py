@@ -10,8 +10,9 @@ execution: an output near 0 was floored at EPS_ALLOC, where offloading costs
 seconds, so the critic kept the MD local, and the shares of a local MD no
 longer change the cost, so nothing raised them again.
 
-An agent shaped for a cell (action_dim = 3M, state_dim = 5M + 2) adds two
-parts that follow from the cost model and from the cell's symmetry:
+The agent is built for a cell of M MDs and takes its state and action
+widths from env.md_rotations. Two parts follow from the cost model and from
+the cell's symmetry:
 
 - The critic sees each share output through share_features: the inverse of
   the share the MD would get if every MD were offloaded, times 1/M. The slot
@@ -21,8 +22,6 @@ parts that follow from the cost model and from the cell's symmetry:
   rotations of the MD order (env.md_rotations). No MD slot can then keep a
   fixed share offset picked up from critic noise. The actor and the target
   actor are trained on batches whose MDs are rotated at random.
-
-An agent of any other shape is plain DDPG on the raw outputs.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ def share_features(raw: np.ndarray):
     1 when the outputs are equal. Returns (features, pullback); pullback maps
     a gradient with respect to the features to one with respect to `raw`.
     """
-    raw = np.atleast_2d(raw)
     m = raw.shape[1] // 3
     w = 1.0 + raw[:, m:].reshape(-1, 2, m)
     total = w.sum(axis=2, keepdims=True)
@@ -83,15 +81,16 @@ class DdpgHyperParams:
 
 
 class DdpgAgent(Agent):
-    """Actor-critic learner with target networks and a replay ring.
+    """Actor-critic learner for one cell, with targets and a replay ring.
 
     Stores: online [actor | critic], targets [target_actor | target_critic].
     """
 
-    def __init__(self, state_dim: int, action_dim: int,
-                 hp: DdpgHyperParams | None = None, seed=0):
+    def __init__(self, num_mds: int, hp: DdpgHyperParams | None = None,
+                 seed=0):
         self.hp = hp or DdpgHyperParams()
-        self.state_dim = state_dim
+        states, actions = md_rotations(num_mds)
+        state_dim, action_dim = states.shape[1], actions.shape[1]
         self.rng = np.random.default_rng(seed)
         h1, h2 = self.hp.hidden
         self.actor = init_mlp(self.rng, [state_dim, h1, h2, action_dim],
@@ -106,12 +105,6 @@ class DdpgAgent(Agent):
                                                self.hp.critic_lr)
         self.buffer = ReplayBuffer(self.hp.replay_capacity, state_dim, action_dim)
         self.noise_std = self.hp.noise_std
-        states, actions = md_rotations(action_dim // 3)
-        self.cell = (states.shape[1:] == (state_dim,)
-                     and actions.shape[1:] == (action_dim,))
-        if not self.cell:
-            states = np.arange(state_dim)[None]
-            actions = np.arange(action_dim)[None]
         self._state_rot = states
         self._action_rot = actions
         self._action_unrot = np.argsort(actions, axis=1)
@@ -130,8 +123,6 @@ class DdpgAgent(Agent):
 
     def _critic_input(self, states: np.ndarray, actions: np.ndarray):
         """Critic input rows and the map from their gradient to `actions`."""
-        if not self.cell:
-            return np.hstack([states, actions]), lambda grad: grad
         features, pullback = share_features(actions)
         return np.hstack([states, features]), pullback
 
@@ -170,7 +161,7 @@ class DdpgAgent(Agent):
         # parameters stay frozen during the actor step.
         _, input_grad = backward(self.critic, critic_cache,
                                  np.full_like(q, 1.0 / k))
-        action_grad = pullback(input_grad[:, self.state_dim:])
+        action_grad = pullback(input_grad[:, s.shape[1]:])
         rows = np.arange(k)[:, None]
         grad, _ = backward(self.actor, actor_cache,
                            action_grad[rows, self._action_rot[rot]])

@@ -105,8 +105,8 @@ class DqnAgent(Agent):
 
         Ties resolve to the lowest index (np.argmax convention).
         """
-        q, _ = forward(self.net, state)
-        greedy = np.argmax(self._head_values(q), axis=-1)
+        q, _ = forward(self.net, state[None])
+        greedy = np.argmax(self._head_values(q[0]), axis=-1)
         explore = self.rng.random(self.num_mds) < epsilon
         random_idx = self.rng.integers(0, ACTIONS_PER_MD, size=self.num_mds)
         return np.where(explore, random_idx, greedy)

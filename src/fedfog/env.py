@@ -304,26 +304,27 @@ def sanitize_action(raw: np.ndarray) -> ActionVector:
     m = raw.size // 3
     offload = (raw[:m] > 0.5).astype(int)
     mask = offload == 1
-    k = int(mask.sum())
-    shares = []
-    for group in (raw[m:2 * m], raw[2 * m:]):
-        s = np.where(mask, np.maximum(group, EPS_ALLOC), 0.0)
-        total = float(s.sum())
-        if total > 1.0:
-            floor = k * EPS_ALLOC
-            if floor >= 1.0:
-                raise ActionConstraintError(
-                    "infeasible share floor",
-                    f"{k} offloaded MDs at floor {EPS_ALLOC} exceed the budget")
-            # Rescale only the surplus above the floor: the floor survives
-            # and the group lands exactly on the unit budget.
-            s = np.where(mask, EPS_ALLOC + (s - EPS_ALLOC) * (1.0 - floor)
-                         / (total - floor), 0.0)
-            excess = float(s.sum()) - 1.0
-            while excess > 0.0:   # shave float residue off the largest share
-                s[int(np.argmax(s))] -= excess
-                excess = float(s.sum()) - 1.0
-        shares.append(s)
+    # rows: the compute and the bandwidth group
+    shares = np.where(mask, np.maximum(raw[m:].reshape(2, m), EPS_ALLOC), 0.0)
+    totals = shares.sum(axis=1)
+    over = totals > 1.0
+    if over.any():
+        k = int(mask.sum())
+        floor = k * EPS_ALLOC
+        if floor >= 1.0:
+            raise ActionConstraintError(
+                "infeasible share floor",
+                f"{k} offloaded MDs at floor {EPS_ALLOC} exceed the budget")
+        # Rescale only the surplus above the floor: the floor survives and
+        # the group lands exactly on the unit budget.
+        shares[over] = np.where(mask, EPS_ALLOC + (shares[over] - EPS_ALLOC)
+                                * (1.0 - floor) / (totals[over, None] - floor),
+                                0.0)
+        excess = shares.sum(axis=1) - 1.0
+        while (excess > 0.0).any():   # shave float residue off largest shares
+            rows = np.flatnonzero(excess > 0.0)
+            shares[rows, shares[rows].argmax(axis=1)] -= excess[rows]
+            excess = shares.sum(axis=1) - 1.0
     return ActionVector(offload, shares[0], shares[1])
 
 

@@ -79,8 +79,7 @@ def build_agent(kind: str, env_cfg: EnvConfig, seed,
                 ddpg_hp: DdpgHyperParams | None = None,
                 dqn_hp: DqnHyperParams | None = None):
     if kind == "ddpg":
-        return DdpgAgent(env_cfg.state_dim, env_cfg.action_dim,
-                         hp=ddpg_hp, seed=seed)
+        return DdpgAgent(env_cfg.mds_per_fap, hp=ddpg_hp, seed=seed)
     if kind == "dqn":
         return DqnAgent(env_cfg.state_dim, env_cfg.mds_per_fap,
                         hp=dqn_hp, seed=seed)

@@ -13,6 +13,7 @@ files and repeated invocations are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -107,26 +108,29 @@ PRESETS = {
 _RUN_FIELDS = ("rounds", "episodes_per_round", "seeds", "eval_episodes",
                "eval_last_rounds", "sweep_rounds", "agent_kinds", "workers",
                "save_checkpoints", "checkpoint_every")
+_SWEEP_FIELDS = {"mds": "md_sweep", "fap_cpu": "fap_cpu_sweep"}
+_KINDS = {bool: "true/false", int: "an integer", float: "a number",
+          str: "a string", list: "a list", tuple: "a list"}
 
 
 def _coerce(default, value, where: str):
-    """Bend YAML's loose scalars toward the field's declared kind."""
-    if isinstance(default, bool):
-        if isinstance(value, bool):
+    """Bring a YAML value to the kind of the field's default, or refuse it
+    naming the field. An int field also takes an integral float and a float
+    field a numeric string; each entry of a list or tuple field goes through
+    the same rule against the default's first entry."""
+    kind = type(default)
+    if kind in (list, tuple) and isinstance(value, (list, tuple)):
+        return kind(_coerce(default[0], v, f"{where}[{i}]")
+                    for i, v in enumerate(value))
+    if isinstance(value, bool) == (kind is bool):
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if kind is float and isinstance(value, (int, str)):
+            with contextlib.suppress(ValueError):   # not a numeric string
+                return float(value)
+        elif isinstance(value, kind):
             return value
-        raise ValueError(f"{where} must be true/false, got {value!r}")
-    if isinstance(default, float) and isinstance(value, (int, str)):
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(f"{where} must be a number, got {value!r}") from None
-    if isinstance(default, int) and isinstance(value, float):
-        if value != int(value):
-            raise ValueError(f"{where} must be an integer, got {value!r}")
-        return int(value)
-    if isinstance(default, tuple) and isinstance(value, list):
-        return tuple(value)
-    return value
+    raise ValueError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _build_section(cls, data, section: str):
@@ -164,10 +168,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ddpg=_build_section(DdpgHyperParams, data.get("ddpg"), "ddpg"),
         dqn=_build_section(DqnHyperParams, data.get("dqn"), "dqn"),
     )
-    if "scenario" in data:
-        cfg.scenario = str(data["scenario"])
-    if "out_dir" in data:
-        cfg.out_dir = str(data["out_dir"])
+    for key in ("scenario", "out_dir"):
+        if key in data:
+            setattr(cfg, key, _coerce(getattr(cfg, key), data[key], key))
     run = data.get("run") or {}
     if not isinstance(run, dict):
         raise ValueError("config section 'run' must be a mapping")
@@ -179,12 +182,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(sweeps, dict):
         raise ValueError("config section 'sweeps' must be a mapping")
     for key, value in sweeps.items():
-        if key == "mds":
-            cfg.md_sweep = [int(m) for m in value]
-        elif key == "fap_cpu":
-            cfg.fap_cpu_sweep = [float(f) for f in value]
-        else:
+        if key not in _SWEEP_FIELDS:
             raise ValueError(f"unknown config field sweeps.{key}")
+        name = _SWEEP_FIELDS[key]
+        setattr(cfg, name, _coerce(getattr(cfg, name), value, f"sweeps.{key}"))
     cfg.validate()
     return cfg
 

@@ -183,17 +183,16 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def forward(net: Mlp, x: np.ndarray):
-    """Run the network; returns (output, cache) with cache feeding backward().
+    """Run the network on a batch; returns (output, cache), and the cache
+    feeds backward().
 
-    Accepts a single input (1-D) or a batch (2-D, samples in rows); the
-    output matches the input's rank.
+    `x` is 2-D with one sample per row, so a single sample is a batch of
+    one; any other shape is refused. The output has one row per sample.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.shape[1] != net.input_dim:
-        raise ValueError(f"input width {h.shape[1]} does not match "
-                         f"network input dim {net.input_dim}")
+    h = np.asarray(x, dtype=float)
+    if h.ndim != 2 or h.shape[1] != net.input_dim:
+        raise ValueError(f"input of shape {h.shape} is not a batch of "
+                         f"width {net.input_dim}")
     inputs, zs, outs = [], [], []
     for w, b, act in zip(net.weights, net.biases, net.activations):
         inputs.append(h)
@@ -201,8 +200,7 @@ def forward(net: Mlp, x: np.ndarray):
         zs.append(z)
         h = _apply_activation(act, z)
         outs.append(h)
-    cache = {"inputs": inputs, "zs": zs, "outs": outs, "single": single}
-    return (h[0] if single else h), cache
+    return h, {"inputs": inputs, "zs": zs, "outs": outs}
 
 
 def backward(net: Mlp, cache, output_grad: np.ndarray):
@@ -210,12 +208,11 @@ def backward(net: Mlp, cache, output_grad: np.ndarray):
 
     Returns (param_grad, input_grad). param_grad is one flat vector laid out
     like `net.params`; it is the net's own buffer, overwritten by the next
-    backward through the same net. `output_grad` must carry any batch
-    averaging; the parameter gradients are summed over the batch rows.
+    backward through the same net. input_grad has one row per batch row.
+    `output_grad` must carry any batch averaging; the parameter gradients
+    are summed over the batch rows.
     """
     g = np.asarray(output_grad, dtype=float)
-    if cache["single"]:
-        g = g[None, :]
     if g.shape != cache["zs"][-1].shape:
         raise ValueError("output_grad shape does not match the cached forward")
     if len(cache["zs"]) != len(net.weights) or any(
@@ -233,8 +230,7 @@ def backward(net: Mlp, cache, output_grad: np.ndarray):
         np.matmul(cache["inputs"][i].T, dz,
                   out=net.grad[end:end + w.size].reshape(w.shape))
         g = dz @ w.T
-    input_grad = g[0] if cache["single"] else g
-    return net.grad, input_grad
+    return net.grad, g
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:

@@ -284,7 +284,13 @@ def test_criterion_6_ddpg_vs_dqn_rounds(desk_runs, capsys):
         r_dqn = rounds_to_threshold(
             [r.mean_cost for r in run["dqn"].reports], threshold)
         wins += r_ddpg <= r_dqn
-        details.append(f"s{seed}: {r_ddpg:.0f} vs {r_dqn:.0f}")
+        # diagnostic only: rounds until each learner is within 10% of equal
+        near_equal = 1.1 * run["base"]["equal"]
+        e_ddpg, e_dqn = (rounds_to_threshold(
+            [r.mean_cost for r in run[kind].reports], near_equal)
+            for kind in ("ddpg", "dqn"))
+        details.append(f"s{seed}: {r_ddpg:.0f} vs {r_dqn:.0f} "
+                       f"(to 1.1x equal: {e_ddpg:.0f} vs {e_dqn:.0f})")
     _verdict(capsys, 6, "continuous control converges no slower (2 of 3)",
              wins >= 2, "; ".join(details))
 

@@ -1,4 +1,10 @@
-"""Actor-critic agent: update math on hand-built networks, then behavior."""
+"""Actor-critic agent: update math on hand-built networks, then behavior.
+
+Every agent here is built for a cell of M MDs, like the agents the program
+trains: at M = 1 the state has 7 entries and the raw output 3, and at M = 2
+they are 12 and 6. The critic reads the state and the share features of
+the raw output, so at M = 1 its input column 7 is the offload output.
+"""
 
 import numpy as np
 import pytest
@@ -27,28 +33,28 @@ def zero_net(net, final_bias):
     net.biases[-1][:] = final_bias
 
 
-def make_agent(state_dim=1, action_dim=1, seed=0, **hp_over):
-    return DdpgAgent(state_dim, action_dim, tiny_hp(**hp_over), seed=seed)
+def make_agent(num_mds=1, seed=0, **hp_over):
+    return DdpgAgent(num_mds, tiny_hp(**hp_over), seed=seed)
 
 
 class TestSelectAction:
     def test_greedy_is_deterministic(self):
-        agent = make_agent(state_dim=4, action_dim=3, seed=1)
-        s = np.random.default_rng(2).uniform(size=4)
+        agent = make_agent(num_mds=1, seed=1)
+        s = np.random.default_rng(2).uniform(size=7)
         a1 = agent.select_action(s, explore=False)
         a2 = agent.select_action(s, explore=False)
         np.testing.assert_array_equal(a1, a2)
         assert a1.shape == (3,)
 
     def test_zero_noise_explore_equals_greedy(self):
-        agent = make_agent(state_dim=4, action_dim=3, seed=1, noise_std=0.0)
-        s = np.random.default_rng(3).uniform(size=4)
+        agent = make_agent(num_mds=1, seed=1, noise_std=0.0)
+        s = np.random.default_rng(3).uniform(size=7)
         np.testing.assert_array_equal(agent.select_action(s, True),
                                       agent.select_action(s, False))
 
     def test_huge_noise_still_clipped(self):
-        agent = make_agent(state_dim=4, action_dim=6, seed=1, noise_std=1e4)
-        s = np.zeros(4)
+        agent = make_agent(num_mds=2, seed=1, noise_std=1e4)
+        s = np.zeros(12)
         for _ in range(20):
             a = agent.select_action(s, explore=True)
             assert np.all(a >= 0.0) and np.all(a <= 1.0)
@@ -132,8 +138,7 @@ class TestDecodeShares:
         # without noise and before the buffer is warm, a training episode
         # acts exactly like the greedy policy on the same episode draws
         cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=20)
-        agent = DdpgAgent(cfg.state_dim, cfg.action_dim,
-                          tiny_hp(noise_std=0.0), seed=33)
+        agent = DdpgAgent(cfg.mds_per_fap, tiny_hp(noise_std=0.0), seed=33)
         # push every offload output above 0.5 so the shares matter
         agent.actor.biases[-1][:cfg.mds_per_fap] = 10.0
         rep = agent.train_episode(FogCellEnv(cfg, seed=34))
@@ -184,13 +189,7 @@ class TestShareFeatures:
 class TestRotations:
     def cell_agent(self, m=3, seed=36):
         cfg = EnvConfig(num_faps=1, mds_per_fap=m)
-        return cfg, DdpgAgent(cfg.state_dim, cfg.action_dim, tiny_hp(),
-                              seed=seed)
-
-    def test_only_cell_shaped_agents_rotate(self):
-        assert self.cell_agent()[1].cell
-        assert not make_agent(state_dim=4, action_dim=3).cell
-        assert not make_agent(state_dim=1, action_dim=1).cell
+        return cfg, DdpgAgent(m, tiny_hp(), seed=seed)
 
     def test_greedy_action_follows_md_relabeling(self):
         cfg, agent = self.cell_agent()
@@ -234,8 +233,8 @@ class TestRotations:
 
 class TestCriticUpdate:
     def batch(self, r=1.0):
-        return Transition(np.zeros((1, 1)), np.zeros((1, 1)),
-                          np.array([r]), np.zeros((1, 1)))
+        return Transition(np.zeros((1, 7)), np.zeros((1, 3)),
+                          np.array([r]), np.zeros((1, 7)))
 
     def test_bootstrap_target_hits_loss_zero(self):
         # constant critic output 2.8 vs target y = r + gamma*Q' = 1 + 0.9*2
@@ -258,15 +257,15 @@ class TestCriticUpdate:
         zero_net(agent.target_critic, 2.0)
         batch = self.batch(r=1.0)
         agent.critic_update(batch)
-        q, _ = forward(agent.critic, np.zeros(2))
-        assert abs(float(q[0]) - 1.0) < abs(2.8 - 1.0)
+        q, _ = forward(agent.critic, np.hstack(
+            [batch.state, share_features(batch.action)[0]]))
+        assert abs(float(q[0, 0]) - 1.0) < abs(2.8 - 1.0)
 
     def test_repeated_regression_converges(self):
-        agent = make_agent(state_dim=3, action_dim=2, seed=4,
-                           gamma=0.0, critic_lr=0.01)
+        agent = make_agent(num_mds=2, seed=4, gamma=0.0, critic_lr=0.01)
         rng = np.random.default_rng(5)
-        batch = Transition(rng.uniform(size=(16, 3)), rng.uniform(size=(16, 2)),
-                           rng.normal(size=16), rng.uniform(size=(16, 3)))
+        batch = Transition(rng.uniform(size=(16, 12)), rng.uniform(size=(16, 6)),
+                           rng.normal(size=16), rng.uniform(size=(16, 12)))
         first = agent.critic_update(batch)
         for _ in range(400):
             last = agent.critic_update(batch)
@@ -276,68 +275,86 @@ class TestCriticUpdate:
         agent = make_agent(gamma=0.0)
         zero_net(agent.critic, 2.0)
         zero_net(agent.target_critic, 0.0)
-        batch = Transition(np.zeros((2, 1)), np.zeros((2, 1)),
-                           np.array([1.0, 3.0]), np.zeros((2, 1)))
+        batch = Transition(np.zeros((2, 7)), np.zeros((2, 3)),
+                           np.array([1.0, 3.0]), np.zeros((2, 7)))
         loss = agent.critic_update(batch)
         assert loss == pytest.approx(((2 - 1) ** 2 + (2 - 3) ** 2) / 2, rel=1e-12)
+
+    def test_critic_reads_decoded_shares(self):
+        # weights with 1 + r' = c * (1 + r) in a share group decode to the
+        # same shares, so the critic must give both the same loss
+        rng = np.random.default_rng(40)
+        states, rewards = rng.uniform(size=(8, 17)), rng.normal(size=8)
+        raw = rng.uniform(size=(8, 9))
+        raw[:, 3:] *= 0.5
+        scale = rng.uniform(1.0, 1.3, size=(8, 2, 1))
+        scaled = raw.copy()
+        scaled[:, 3:] = (scale * (1.0 + raw[:, 3:].reshape(8, 2, 3))
+                         - 1.0).reshape(8, 6)
+        assert np.all(scaled <= 1.0) and np.abs(scaled - raw).max() > 0.1
+        losses = [make_agent(num_mds=3, seed=41).critic_update(
+            Transition(states, a, rewards, states[::-1])) for a in (raw, scaled)]
+        assert losses[0] == pytest.approx(losses[1], rel=0, abs=1e-12)
 
 
 class TestActorUpdate:
     def test_indifferent_critic_leaves_actor_unchanged(self):
-        agent = make_agent(state_dim=2, action_dim=2, seed=6)
+        agent = make_agent(num_mds=2, seed=6)
         for w in agent.critic.weights:
             w[:] = 0.0
         before = agent.actor.params.copy()
-        agent.actor_update(Transition(np.random.default_rng(7).uniform(size=(8, 2)),
+        agent.actor_update(Transition(np.random.default_rng(7).uniform(size=(8, 12)),
                                       None, None, None))
         np.testing.assert_array_equal(agent.actor.params, before)
 
     def test_actor_climbs_handbuilt_q_peak(self):
-        # critic computes Q = -|a - 0.3| regardless of state, built from two
-        # relu units (a - 0.3) and (0.3 - a), a pass-through second layer,
-        # and output weights [-1, -1]; the actor should converge to 0.3
-        agent = make_agent(state_dim=1, action_dim=1, seed=8,
-                           actor_lr=0.01, hidden=(2, 2))
+        # critic computes Q = -|x - 0.3| for the offload output x (input
+        # column 7) regardless of state and shares, built from two relu
+        # units (x - 0.3) and (0.3 - x), a pass-through second layer, and
+        # output weights [-1, -1]; the actor's x should converge to 0.3
+        agent = make_agent(num_mds=1, seed=8, actor_lr=0.01, hidden=(2, 2))
         c = agent.critic
-        c.weights[0][:] = np.array([[0.0, 0.0], [1.0, -1.0]])
+        c.weights[0][:] = 0.0
+        c.weights[0][7] = np.array([1.0, -1.0])
         c.biases[0][:] = np.array([-0.3, 0.3])
         c.weights[1][:] = np.eye(2)
         c.biases[1][:] = 0.0
         c.weights[2][:] = np.array([[-1.0], [-1.0]])
         c.biases[2][:] = 0.0
-        probe = np.array([[0.1], [0.5], [0.9]])
+        probe = np.zeros((3, 7))
+        probe[:, 0] = [0.1, 0.5, 0.9]
         q0 = agent.actor_update(Transition(probe, None, None, None))
         for _ in range(800):
             q_last = agent.actor_update(Transition(probe, None, None, None))
         actions, _ = forward(agent.actor, probe)
-        np.testing.assert_allclose(actions, 0.3, atol=0.05)
+        np.testing.assert_allclose(actions[:, 0], 0.3, atol=0.05)
         assert q_last > q0
 
     def test_critic_untouched_by_actor_step(self):
-        agent = make_agent(state_dim=2, action_dim=1, seed=9)
+        agent = make_agent(num_mds=1, seed=9)
         before = agent.critic.params.copy()
-        agent.actor_update(Transition(np.random.default_rng(10).uniform(size=(4, 2)),
+        agent.actor_update(Transition(np.random.default_rng(10).uniform(size=(4, 7)),
                                       None, None, None))
         np.testing.assert_array_equal(agent.critic.params, before)
 
 
 class TestSoftUpdate:
     def test_tau_one_copies_online(self):
-        agent = make_agent(state_dim=2, action_dim=1, seed=11, tau=1.0)
+        agent = make_agent(num_mds=1, seed=11, tau=1.0)
         agent.actor.params += 0.5
         agent.soft_update()
         np.testing.assert_allclose(agent.target_actor.params,
                                    agent.actor.params, rtol=1e-15)
 
     def test_blend_arithmetic(self):
-        agent = make_agent(state_dim=1, action_dim=1, seed=12, tau=0.25)
+        agent = make_agent(num_mds=1, seed=12, tau=0.25)
         zero_net(agent.critic, 4.0)
         zero_net(agent.target_critic, 0.0)
         agent.soft_update()
         assert agent.target_critic.biases[-1][0] == pytest.approx(1.0)
 
     def test_geometric_tracking(self):
-        agent = make_agent(state_dim=1, action_dim=1, seed=13, tau=0.1)
+        agent = make_agent(num_mds=1, seed=13, tau=0.1)
         zero_net(agent.critic, 1.0)
         zero_net(agent.target_critic, 0.0)
         for _ in range(10):
@@ -355,7 +372,7 @@ class TestTrainingLoop:
     def test_warm_up_defers_updates(self):
         cfg = self.env_cfg()
         env = FogCellEnv(cfg, seed=0)
-        agent = DdpgAgent(cfg.state_dim, cfg.action_dim, tiny_hp(), seed=0)
+        agent = DdpgAgent(cfg.mds_per_fap, tiny_hp(), seed=0)
         rep1 = agent.train_episode(env)
         assert rep1.updates == 0
         assert np.isnan(rep1.mean_critic_loss)
@@ -366,13 +383,13 @@ class TestTrainingLoop:
         assert len(agent.buffer) == 100
 
     def test_update_step_returns_none_when_cold(self):
-        agent = make_agent(state_dim=2, action_dim=1)
+        agent = make_agent(num_mds=1)
         assert agent.update_step() is None
 
     def test_report_cost_identity(self):
         cfg = self.env_cfg(weight_delay=0.3)
         env = FogCellEnv(cfg, seed=1)
-        agent = DdpgAgent(cfg.state_dim, cfg.action_dim, tiny_hp(), seed=1)
+        agent = DdpgAgent(cfg.mds_per_fap, tiny_hp(), seed=1)
         rep = agent.train_episode(env)
         assert rep.mean_cost == pytest.approx(
             0.3 * rep.mean_delay + 0.7 * rep.mean_energy, abs=1e-9)
@@ -384,7 +401,7 @@ class TestTrainingLoop:
         outs = []
         for _ in range(2):
             env = FogCellEnv(cfg, seed=3)
-            agent = DdpgAgent(cfg.state_dim, cfg.action_dim, tiny_hp(), seed=4)
+            agent = DdpgAgent(cfg.mds_per_fap, tiny_hp(), seed=4)
             reports = [agent.train_episode(env) for _ in range(3)]
             outs.append((reports, agent.export_weights().values.copy()))
         (ra, wa), (rb, wb) = outs
@@ -398,7 +415,7 @@ class TestTrainingLoop:
         cfg = self.env_cfg(mds_per_fap=1, noise_power=1e-16,
                            steps_per_episode=25)
         env = FogCellEnv(cfg, seed=5)
-        agent = DdpgAgent(cfg.state_dim, cfg.action_dim,
+        agent = DdpgAgent(cfg.mds_per_fap,
                           tiny_hp(hidden=(32, 16), batch_size=32), seed=5)
         for _ in range(60):
             agent.train_episode(env)
@@ -417,18 +434,18 @@ class TestTrainingLoop:
 
 class TestWeightExchange:
     def test_export_load_round_trip(self):
-        agent = make_agent(state_dim=3, action_dim=2, seed=20)
+        agent = make_agent(num_mds=1, seed=20)
         flat = agent.export_weights()
-        other = make_agent(state_dim=3, action_dim=2, seed=21)
+        other = make_agent(num_mds=1, seed=21)
         other.load_global(flat)
         np.testing.assert_array_equal(other.export_weights().values, flat.values)
 
     def test_load_global_resyncs_targets(self):
-        src = make_agent(state_dim=3, action_dim=2, seed=22)
+        src = make_agent(num_mds=1, seed=22)
         # drift the source targets away from its online nets
         src.target_actor.params += 1.0
         flat = src.export_weights()
-        dst = make_agent(state_dim=3, action_dim=2, seed=23)
+        dst = make_agent(num_mds=1, seed=23)
         dst.load_global(flat)
         np.testing.assert_array_equal(dst.target_actor.params, dst.actor.params)
         np.testing.assert_array_equal(dst.target_critic.params,
@@ -436,13 +453,13 @@ class TestWeightExchange:
         np.testing.assert_array_equal(dst.actor.weights[0], src.actor.weights[0])
 
     def test_wrong_size_rejected(self):
-        agent = make_agent(state_dim=3, action_dim=2, seed=24)
-        small = make_agent(state_dim=2, action_dim=1, seed=25)
+        agent = make_agent(num_mds=2, seed=24)
+        small = make_agent(num_mds=1, seed=25)
         with pytest.raises(ValueError):
             agent.load_global(small.export_weights())
 
     def test_upload_holds_online_nets_only(self):
-        agent = make_agent(state_dim=3, action_dim=2, seed=26)
+        agent = make_agent(num_mds=1, seed=26)
         agent.target_actor.params += 1.0
         flat = agent.export_weights()
         np.testing.assert_array_equal(
@@ -452,7 +469,7 @@ class TestWeightExchange:
                                     + agent.critic.activations)
 
     def test_load_global_sets_every_target_to_its_online_value(self):
-        agent = make_agent(state_dim=3, action_dim=2, seed=27)
+        agent = make_agent(num_mds=1, seed=27)
         for _ in range(3):
             agent.soft_update()
         flat = agent.export_weights()

@@ -117,7 +117,7 @@ class TestSelect:
     def test_greedy_takes_argmax_per_head(self):
         agent = DqnAgent(4, 2, tiny_hp(), seed=0)
         s = np.random.default_rng(1).uniform(size=4)
-        q, _ = forward(agent.net, s)
+        q, _ = forward(agent.net, s[None])
         expect = q.reshape(2, ACTIONS_PER_MD).argmax(axis=1)
         np.testing.assert_array_equal(agent.select(s, epsilon=0.0), expect)
 

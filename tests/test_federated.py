@@ -168,10 +168,8 @@ class TestRounds:
         res = run_training(cfg, "ddpg", seed=4, rounds=3, ddpg_hp=small_ddpg())
 
         seeds = np.random.SeedSequence(4).spawn(4)
-        init = DdpgAgent(cfg.state_dim, cfg.action_dim, small_ddpg(),
-                         seed=seeds[0])
-        solo = DdpgAgent(cfg.state_dim, cfg.action_dim, small_ddpg(),
-                         seed=seeds[2])
+        init = DdpgAgent(cfg.mds_per_fap, small_ddpg(), seed=seeds[0])
+        solo = DdpgAgent(cfg.mds_per_fap, small_ddpg(), seed=seeds[2])
         env = fed.FogCellEnv(cfg, seed=seeds[1])
         global_w = init.export_weights()
         for _ in range(3):

@@ -373,6 +373,31 @@ class TestCli:
             assert "error:" in err
             assert f"unknown config field env.{key}" in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sweeps.mds", "[2.5, 3]", "sweeps.mds[0] must be an integer, got 2.5"),
+        ("sweeps.mds", "3", "sweeps.mds must be a list, got 3"),
+        ("ddpg.hidden", "300", "ddpg.hidden must be a list, got 300"),
+        ("run.agent_kinds", "fed-ddpg",
+         "run.agent_kinds must be a list, got 'fed-ddpg'"),
+        ("run.rounds", "abc", "run.rounds must be an integer, got 'abc'"),
+        ("env.num_faps", "two", "env.num_faps must be an integer, got 'two'"),
+        ("run.seeds", "3", "run.seeds must be a list, got 3"),
+        ("env.bandwidth", "true", "env.bandwidth must be a number, got True"),
+        ("run.save_checkpoints", "1",
+         "run.save_checkpoints must be true/false, got 1"),
+    ])
+    def test_wrong_kind_value_refused_naming_field(self, tmp_path, capsys,
+                                                   field, value, message):
+        # eval reads the config before the checkpoint, so a config that
+        # loads fails fast on the missing checkpoint instead of training
+        section, key = field.split(".")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"{section}:\n  {key}: {value}\n")
+        assert main(["eval", "--config", str(bad), "--checkpoint",
+                     str(tmp_path / "none.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
     def test_unread_flags_refused(self, tmp_path):
         ckpt = str(tmp_path / "model.ckpt")
         for argv in (["oracle-check", "--config", "x.yaml"],

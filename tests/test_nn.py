@@ -24,13 +24,13 @@ class TestForward:
             w[:] = 0.0
         for b in net.biases:
             b[:] = 0.0
-        out, _ = forward(net, np.ones(4))
+        out, _ = forward(net, np.ones((1, 4)))
         np.testing.assert_allclose(out, 0.5)
 
     def test_identity_linear_layer(self):
         net = Mlp(weights=[np.eye(3)], biases=[np.zeros(3)],
                   activations=["linear"])
-        x = np.array([0.3, -1.2, 7.0])
+        x = np.array([[0.3, -1.2, 7.0]])
         out, _ = forward(net, x)
         np.testing.assert_array_equal(out, x)
 
@@ -42,32 +42,40 @@ class TestForward:
                            np.array([[2.0], [-1.0]])],
                   biases=[np.array([0.5, -3.0]), np.array([0.25])],
                   activations=["relu", "linear"])
-        out, _ = forward(net, np.array([2.0, 1.0]))
-        assert out == pytest.approx([3.25], rel=1e-15)
+        out, _ = forward(net, np.array([[2.0, 1.0]]))
+        assert out.shape == (1, 1)
+        assert out[0] == pytest.approx([3.25], rel=1e-15)
 
     def test_batched_matches_single(self):
-        # BLAS picks different kernels for matrix-matrix and vector-matrix,
-        # so agreement is to rounding, not bit-exact
+        # BLAS may pick different kernels for a one-row product, so
+        # agreement is to rounding, not bit-exact
         rng = np.random.default_rng(1)
         net = make_net(rng, (5, 16, 8, 2), "sigmoid")
         xs = rng.normal(size=(7, 5))
         batch_out, _ = forward(net, xs)
-        for i, x in enumerate(xs):
-            single, _ = forward(net, x)
-            np.testing.assert_allclose(batch_out[i], single, rtol=1e-13)
+        for i in range(len(xs)):
+            single, _ = forward(net, xs[i:i + 1])
+            np.testing.assert_allclose(batch_out[i:i + 1], single, rtol=1e-13)
 
     def test_pure(self):
         rng = np.random.default_rng(2)
         net = make_net(rng, (6, 10, 4), "linear")
-        x = rng.normal(size=6)
+        x = rng.normal(size=(1, 6))
         a, _ = forward(net, x)
         b, _ = forward(net, x)
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch(self):
         net = make_net(np.random.default_rng(3), (4, 8, 2), "linear")
-        with pytest.raises(ValueError):
-            forward(net, np.ones(5))
+        with pytest.raises(ValueError, match=r"\(1, 5\)"):
+            forward(net, np.ones((1, 5)))
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)])
+    def test_only_batches_accepted(self, shape):
+        # a single sample is a batch of one; other ranks are refused by shape
+        net = make_net(np.random.default_rng(3), (4, 8, 2), "linear")
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            forward(net, np.ones(shape))
 
     def test_sigmoid_output_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -91,13 +99,13 @@ class TestBackward:
         # gradient is 2*(pred - target)*input
         net = Mlp(weights=[np.array([[0.7], [-0.2], [0.1]])],
                   biases=[np.array([0.4])], activations=["linear"])
-        x = np.array([1.0, 2.0, -3.0])
+        x = np.array([[1.0, 2.0, -3.0]])
         target = 1.5
         pred, cache = forward(net, x)
         grad, _ = backward(net, cache, 2.0 * (pred - target))
-        expect = 2.0 * (float(pred[0]) - target) * x
+        expect = 2.0 * (float(pred[0, 0]) - target) * x[0]
         np.testing.assert_allclose(grad[:3], expect, rtol=1e-12)
-        assert grad[3] == pytest.approx(2.0 * (float(pred[0]) - target))
+        assert grad[3] == pytest.approx(2.0 * (float(pred[0, 0]) - target))
 
     @pytest.mark.parametrize("out_act,seed",
                              [("linear", 101), ("sigmoid", 202), ("relu", 303)])
@@ -141,15 +149,16 @@ class TestBackward:
     def test_finite_difference_input_grad(self):
         rng = np.random.default_rng(17)
         net = make_net(rng, (5, 12, 7, 2), "sigmoid")
-        x0 = rng.normal(size=5)
-        w = rng.normal(size=2)
+        x0 = rng.normal(size=(1, 5))
+        w = rng.normal(size=(1, 2))
 
         def f(x):
             out, _ = forward(net, x)
-            return float(np.dot(w, out))
+            return float(np.sum(w * out))
 
         out, cache = forward(net, x0)
         _, input_grad = backward(net, cache, w)
+        assert input_grad.shape == (1, 5)
         fd = central_difference(f, x0.copy())
         np.testing.assert_allclose(input_grad, fd, rtol=1e-5, atol=1e-8)
 
