@@ -145,7 +145,7 @@ class DdpgAgent(Agent):
         q, cache = forward(self.critic, self._critic_input(s, a)[0])
         err = q - y
         loss = float(np.mean(err ** 2))
-        grad, _ = backward(self.critic, cache, 2.0 * err / k)
+        grad = backward(self.critic, cache, 2.0 * err / k)
         adam_step(self.critic.params, grad, self.critic_opt)
         return loss
 
@@ -157,14 +157,14 @@ class DdpgAgent(Agent):
         critic_in, pullback = self._critic_input(s, a)
         q, critic_cache = forward(self.critic, critic_in)
         objective = float(np.mean(q))
-        # Only the critic's gradient w.r.t. its action inputs is used; its
-        # parameters stay frozen during the actor step.
-        _, input_grad = backward(self.critic, critic_cache,
-                                 np.full_like(q, 1.0 / k))
-        action_grad = pullback(input_grad[:, s.shape[1]:])
+        # The actor step reads only dQ/d(action features); the critic's
+        # parameters and their gradient stay as the critic step left them.
+        action_grad = pullback(backward(self.critic, critic_cache,
+                                        np.full_like(q, 1.0 / k),
+                                        input_cols=slice(s.shape[1], None)))
         rows = np.arange(k)[:, None]
-        grad, _ = backward(self.actor, actor_cache,
-                           action_grad[rows, self._action_rot[rot]])
+        grad = backward(self.actor, actor_cache,
+                        action_grad[rows, self._action_rot[rot]])
         adam_step(self.actor.params, np.negative(grad, out=grad),
                   self.actor_opt)
         return objective

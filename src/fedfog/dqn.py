@@ -129,7 +129,7 @@ class DqnAgent(Agent):
         grad_out[rows, cols] = 2.0 * err / k
         if not np.all(np.isfinite(loss)):
             raise FloatingPointError("non-finite TD loss")
-        grad, _ = backward(self.net, cache, grad_out)
+        grad = backward(self.net, cache, grad_out)
         adam_step(self.net.params, grad, self.opt)
         self._updates += 1
         if self._updates % self.hp.target_sync_period == 0:

@@ -94,21 +94,21 @@ class EnvConfig:
     def __post_init__(self):
         for name in ("cell_side", "bandwidth", "fap_cpu", "noise_power",
                      "path_loss_alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("md_cpu_range", "md_power_range", "task_bits_range",
                      "cycles_per_bit_range"):
             lo, hi = getattr(self, name)
-            if lo <= 0 or lo > hi:
-                raise ValueError(f"{name} must satisfy 0 < min <= max")
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < min <= max < inf")
         if self.num_faps < 1:
             raise ValueError("num_faps must be >= 1")
         if self.mds_per_fap < 1:
             raise ValueError("mds_per_fap must be >= 1")
         if self.steps_per_episode < 1:
             raise ValueError("steps_per_episode must be >= 1")
-        if self.max_move_per_slot < 0:
-            raise ValueError("max_move_per_slot must be >= 0")
+        if not 0 <= self.max_move_per_slot < math.inf:
+            raise ValueError("max_move_per_slot must be finite and >= 0")
         if not 0.0 <= self.weight_delay <= 1.0:
             raise ValueError("weight_delay must lie in [0, 1]")
 

@@ -109,15 +109,15 @@ _RUN_FIELDS = ("rounds", "episodes_per_round", "seeds", "eval_episodes",
                "eval_last_rounds", "sweep_rounds", "agent_kinds", "workers",
                "save_checkpoints", "checkpoint_every")
 _SWEEP_FIELDS = {"mds": "md_sweep", "fap_cpu": "fap_cpu_sweep"}
-_KINDS = {bool: "true/false", int: "an integer", float: "a number",
+_KINDS = {bool: "true/false", int: "an integer", float: "a finite number",
           str: "a string", list: "a list", tuple: "a list"}
 
 
 def _coerce(default, value, where: str):
     """Bring a YAML value to the kind of the field's default, or refuse it
     naming the field. An int field also takes an integral float and a float
-    field a numeric string; each entry of a list or tuple field goes through
-    the same rule against the default's first entry."""
+    field a numeric string, but no nan or infinity; each entry of a list or
+    tuple field goes through the same rule against the default's first."""
     kind = type(default)
     if kind in (list, tuple) and isinstance(value, (list, tuple)):
         return kind(_coerce(default[0], v, f"{where}[{i}]")
@@ -125,9 +125,10 @@ def _coerce(default, value, where: str):
     if isinstance(value, bool) == (kind is bool):
         if kind is int and isinstance(value, float) and value.is_integer():
             return int(value)
-        if kind is float and isinstance(value, (int, str)):
-            with contextlib.suppress(ValueError):   # not a numeric string
-                return float(value)
+        if kind is float and isinstance(value, (int, float, str)):
+            with contextlib.suppress(ValueError, OverflowError):  # not a number
+                if math.isfinite(number := float(value)):
+                    return number
         elif isinstance(value, kind):
             return value
     raise ValueError(f"{where} must be {_KINDS[kind]}, got {value!r}")

@@ -1,9 +1,10 @@
 """Dense networks with hand-derived backprop, Adam, and flat-weight I/O.
 
 Fixed-topology MLPs are all the agents need, so there is no autograd graph:
-forward caches layer inputs and pre-activations, backward replays the chain
-rule exactly. Everything is float64; the nets are tiny and determinism plus
-gradient-check headroom matter more than speed.
+forward caches each layer's activations, and backward replays the chain rule
+exactly, computing only the gradients its caller reads. Everything is
+float64; the nets are tiny and determinism plus gradient-check headroom
+matter more than speed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class Mlp:
     All parameters live in one contiguous f64 vector `params`, in the order
     [W0, b0, W1, b1, ...]; every weight and bias is a view into it. The
     constructor copies the given arrays into a fresh vector. `grad` is the
-    buffer backward() writes, laid out like `params` and made on first use.
+    buffer a parameter pass of backward() writes, laid out like `params`
+    and made on first use; an input-gradient pass leaves it alone.
     """
 
     weights: list[np.ndarray]
@@ -52,10 +54,6 @@ class Mlp:
                 off += a.size
         self.params = params
         self.weights, self.biases = views[0::2], views[1::2]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
 
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, list(self.activations))
@@ -157,29 +155,27 @@ def init_mlp(rng, dims: list[int], output_activation: str = "linear",
     return Mlp(weights, biases, acts)
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    # relu and linear return z's own memory
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        e = np.exp(-np.abs(z))
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
     if name == "linear":
         return z
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _delta(name: str, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """`g` times the activation's derivative at the layer output `a`, in
+    place; a relu output is positive exactly where its input is."""
     if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+        g *= a > 0.0
+    elif name == "sigmoid":
+        g *= a * (1.0 - a)
+    return g
 
 
 def forward(net: Mlp, x: np.ndarray):
@@ -188,49 +184,51 @@ def forward(net: Mlp, x: np.ndarray):
 
     `x` is 2-D with one sample per row, so a single sample is a batch of
     one; any other shape is refused. The output has one row per sample.
+    The cache lists the layer activations [x, h1, ..., output]; all but `x`
+    are fresh arrays, and `x` is never written.
     """
     h = np.asarray(x, dtype=float)
-    if h.ndim != 2 or h.shape[1] != net.input_dim:
+    if h.ndim != 2 or h.shape[1] != net.weights[0].shape[0]:
         raise ValueError(f"input of shape {h.shape} is not a batch of "
-                         f"width {net.input_dim}")
-    inputs, zs, outs = [], [], []
+                         f"width {net.weights[0].shape[0]}")
+    cache = [h]
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        inputs.append(h)
-        z = h @ w + b
-        zs.append(z)
-        h = _apply_activation(act, z)
-        outs.append(h)
-    return h, {"inputs": inputs, "zs": zs, "outs": outs}
+        z = h @ w
+        z += b
+        h = _activate(act, z)
+        cache.append(h)
+    return h, cache
 
 
-def backward(net: Mlp, cache, output_grad: np.ndarray):
-    """Exact gradients of a scalar loss given dL/d(output).
-
-    Returns (param_grad, input_grad). param_grad is one flat vector laid out
-    like `net.params`; it is the net's own buffer, overwritten by the next
-    backward through the same net. input_grad has one row per batch row.
-    `output_grad` must carry any batch averaging; the parameter gradients
-    are summed over the batch rows.
-    """
-    g = np.asarray(output_grad, dtype=float)
-    if g.shape != cache["zs"][-1].shape:
+def backward(net: Mlp, cache, output_grad: np.ndarray, input_cols=None):
+    """Exact gradients of a scalar loss given dL/d(output), which carries any
+    batch averaging and is not written. Returns the net's own buffer `grad`:
+    the parameter gradient summed over the batch, laid out like `params`.
+    Given `input_cols` (an index or slice), returns instead only those
+    columns of dL/d(input), one row per batch row, and computes no parameter
+    gradient."""
+    g = np.array(output_grad, dtype=float)
+    if g.shape != cache[-1].shape:
         raise ValueError("output_grad shape does not match the cached forward")
-    if len(cache["zs"]) != len(net.weights) or any(
-            z.shape[1] != w.shape[1] for z, w in zip(cache["zs"], net.weights)):
+    if len(cache) != len(net.weights) + 1 or any(
+            a.shape[1] != w.shape[1] for a, w in zip(cache[1:], net.weights)):
         raise ValueError("cache does not match this network")
-    if net.grad is None:
+    want_params = input_cols is None
+    if want_params and net.grad is None:
         net.grad = np.empty_like(net.params)
-    end = net.grad.size
+    dz = _delta(net.activations[-1], g, cache[-1])
+    end = net.params.size
     for i in range(len(net.weights) - 1, -1, -1):
         w = net.weights[i]
-        dz = g * _activation_grad(net.activations[i], cache["zs"][i],
-                                  cache["outs"][i])
-        dz.sum(axis=0, out=net.grad[end - w.shape[1]:end])
-        end -= w.shape[1] + w.size
-        np.matmul(cache["inputs"][i].T, dz,
-                  out=net.grad[end:end + w.size].reshape(w.shape))
-        g = dz @ w.T
-    return net.grad, g
+        if want_params:
+            dz.sum(axis=0, out=net.grad[end - w.shape[1]:end])
+            end -= w.shape[1] + w.size
+            np.matmul(cache[i].T, dz,
+                      out=net.grad[end:end + w.size].reshape(w.shape))
+        if i > 0:
+            dz = _delta(net.activations[i - 1], dz @ w.T, cache[i])
+    # the full product, then the columns: slicing W0 first rounds differently
+    return net.grad if want_params else (dz @ net.weights[0].T)[:, input_cols]
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:

@@ -144,7 +144,7 @@ def test_criterion_3_gradient_correctness(capsys):
         x = rng.normal(size=(2, dims[0]))
         c = rng.normal(size=(2, dims[-1]))
         _, cache = forward(net, x)
-        grads, _ = backward(net, cache, c)
+        grads = backward(net, cache, c)
         analytic = np.concatenate([g.ravel() for g in grads])
         flat0 = flatten_mlp(net).values.copy()
 

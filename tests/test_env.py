@@ -69,6 +69,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="mds_per_fap"):
             EnvConfig(mds_per_fap=0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("bandwidth", math.nan), ("fap_cpu", math.inf),
+        ("noise_power", -math.inf), ("max_move_per_slot", math.nan),
+        ("max_move_per_slot", math.inf), ("md_cpu_range", (1e9, math.inf)),
+        ("task_bits_range", (math.nan, 1.0))])
+    def test_non_finite_values_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EnvConfig(**{name: value})
+
     def test_energy_weight_is_one_minus_delay_weight(self):
         assert EnvConfig(weight_delay=0.3).weight_energy == 0.7
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -130,6 +131,21 @@ class TestConfigLoading:
             config_from_dict({"run": {"rounds": 0}})
         with pytest.raises(ValueError, match="sweeps.mds"):
             config_from_dict({"sweeps": {"mds": [0, 1]}})
+
+    @pytest.mark.parametrize("field,text", [
+        ("env.bandwidth", ".nan"), ("env.bandwidth", "nan"),
+        ("env.fap_cpu", ".inf"), ("env.fap_cpu", "inf"),
+        ("ddpg.actor_lr", ".nan"), ("ddpg.actor_lr", "nan"),
+        ("dqn.lr", "-.inf"), ("env.md_cpu_range", "[1.0e9, .inf]")])
+    def test_non_finite_float_refused_naming_field(self, tmp_path, field, text):
+        # YAML reads .nan and .inf as floats and bare nan and inf as strings;
+        # either way the loader refuses them by field path
+        section, key = field.split(".")
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"{section}:\n  {key}: {text}\n")
+        with pytest.raises(ValueError, match=re.escape(field)) as exc:
+            load_config(path=str(path))
+        assert "must be a finite number" in str(exc.value)
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -382,7 +398,8 @@ class TestCli:
         ("run.rounds", "abc", "run.rounds must be an integer, got 'abc'"),
         ("env.num_faps", "two", "env.num_faps must be an integer, got 'two'"),
         ("run.seeds", "3", "run.seeds must be a list, got 3"),
-        ("env.bandwidth", "true", "env.bandwidth must be a number, got True"),
+        ("env.bandwidth", "true",
+         "env.bandwidth must be a finite number, got True"),
         ("run.save_checkpoints", "1",
          "run.save_checkpoints must be true/false, got 1"),
     ])

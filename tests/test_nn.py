@@ -17,6 +17,45 @@ def make_net(rng, sizes, out_act):
     return init_mlp(rng, list(sizes), output_activation=out_act)
 
 
+def relu_net(rng, sizes, out_act):
+    """A net whose biases are random, so relu units sit off their kinks."""
+    net = make_net(rng, sizes, out_act)
+    for b in net.biases:
+        b[:] = rng.normal(scale=0.3, size=b.shape)
+    return net
+
+
+def two_branch_sigmoid(z):
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def textbook_backward(net, x, g):
+    """Reference chain rule: keeps inputs and pre-activations, forms each
+    derivative as a full array and returns (param_grad, input_grad)."""
+    inputs, zs, outs, h = [], [], [], x
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(h)
+        zs.append(h @ w + b)
+        h = {"relu": np.maximum(zs[-1], 0.0),
+             "sigmoid": two_branch_sigmoid(zs[-1]), "linear": zs[-1]}[act]
+        outs.append(h)
+    parts = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        z, a = zs[i], outs[i]
+        slope = {"relu": (z > 0.0).astype(float), "sigmoid": a * (1.0 - a),
+                 "linear": np.ones_like(z)}[net.activations[i]]
+        dz = g * slope
+        parts[:0] = [(inputs[i].T @ dz).ravel(), dz.sum(axis=0)]
+        g = dz @ net.weights[i].T
+    return np.concatenate(parts), g
+
+
 class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         net = make_net(np.random.default_rng(0), (4, 8, 3), "sigmoid")
@@ -84,15 +123,24 @@ class TestForward:
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        # an identity layer, so the output is the activation of the input
+        z = np.concatenate([[0.0, -0.0, 30.0, -30.0, 745.0, -745.0, 1e-300],
+                            np.random.default_rng(45).normal(scale=30, size=57)])
+        net = Mlp(weights=[np.eye(z.size)], biases=[np.zeros(z.size)],
+                  activations=["sigmoid"])
+        out, _ = forward(net, z[None])
+        np.testing.assert_array_equal(out[0], two_branch_sigmoid(z))
+
 class TestBackward:
     def test_zero_output_grad_gives_zero_grads(self):
         rng = np.random.default_rng(5)
         net = make_net(rng, (4, 9, 3), "sigmoid")
         x = rng.normal(size=(6, 4))
         out, cache = forward(net, x)
-        grad, input_grad = backward(net, cache, np.zeros_like(out))
-        assert not np.any(grad)
-        assert not np.any(input_grad)
+        assert not np.any(backward(net, cache, np.zeros_like(out)))
+        assert not np.any(backward(net, cache, np.zeros_like(out),
+                                   input_cols=slice(None)))
 
     def test_single_linear_neuron_closed_form(self):
         # squared loss (pred - target)^2 on one linear neuron: the weight
@@ -102,7 +150,7 @@ class TestBackward:
         x = np.array([[1.0, 2.0, -3.0]])
         target = 1.5
         pred, cache = forward(net, x)
-        grad, _ = backward(net, cache, 2.0 * (pred - target))
+        grad = backward(net, cache, 2.0 * (pred - target))
         expect = 2.0 * (float(pred[0, 0]) - target) * x[0]
         np.testing.assert_allclose(grad[:3], expect, rtol=1e-12)
         assert grad[3] == pytest.approx(2.0 * (float(pred[0, 0]) - target))
@@ -113,12 +161,9 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         for _ in range(5):
             sizes = [int(rng.integers(2, 6)) for _ in range(4)]
-            net = make_net(rng, sizes, out_act)
             # zero-init biases leave dead-row pre-activations exactly on the
-            # relu kink, where central differences straddle the corner;
-            # randomize them so the check probes smooth points
-            for b in net.biases:
-                b[:] = rng.normal(scale=0.3, size=b.shape)
+            # relu kink, where central differences straddle the corner
+            net = relu_net(rng, sizes, out_act)
             x = rng.normal(size=(3, sizes[0]))
             w = rng.normal(size=(3, sizes[-1]))   # fixed loss weights
 
@@ -127,7 +172,7 @@ class TestBackward:
                 return float(np.sum(w * out))
 
             out, cache = forward(net, x)
-            grad, input_grad = backward(net, cache, w)
+            grad = backward(net, cache, w)
             worst = 0.0
             off = 0
             for p in (a for pair in zip(net.weights, net.biases) for a in pair):
@@ -157,7 +202,7 @@ class TestBackward:
             return float(np.sum(w * out))
 
         out, cache = forward(net, x0)
-        _, input_grad = backward(net, cache, w)
+        input_grad = backward(net, cache, w, input_cols=slice(None))
         assert input_grad.shape == (1, 5)
         fd = central_difference(f, x0.copy())
         np.testing.assert_allclose(input_grad, fd, rtol=1e-5, atol=1e-8)
@@ -166,8 +211,76 @@ class TestBackward:
         rng = np.random.default_rng(18)
         net = make_net(rng, (4, 6, 2), "linear")
         _, cache = forward(net, rng.normal(size=(3, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="output_grad shape"):
             backward(net, cache, np.zeros((5, 2)))
+        other = make_net(rng, (4, 5, 2), "linear")
+        with pytest.raises(ValueError, match="does not match this network"):
+            backward(other, cache, np.zeros((3, 2)))
+
+    def test_param_pass_returns_only_the_param_grad(self):
+        rng = np.random.default_rng(41)
+        net = make_net(rng, (4, 6, 3), "sigmoid")
+        out, cache = forward(net, rng.normal(size=(5, 4)))
+        grad = backward(net, cache, rng.normal(size=out.shape))
+        assert grad is net.grad
+        assert grad.shape == net.params.shape
+
+    @pytest.mark.parametrize("hidden", ["relu", "sigmoid", "linear"])
+    def test_input_pass_leaves_param_grad_alone(self, hidden):
+        rng = np.random.default_rng(42)
+        net = init_mlp(rng, [6, 8, 5, 2], hidden_activation=hidden)
+        out, cache = forward(net, rng.normal(size=(7, 6)))
+        backward(net, cache, np.full_like(out, np.nan), input_cols=[1])
+        assert net.grad is None
+        buffer = backward(net, cache, rng.normal(size=out.shape))
+        before = buffer.copy()
+        backward(net, cache, rng.normal(size=out.shape), input_cols=slice(4, None))
+        assert net.grad is buffer
+        np.testing.assert_array_equal(net.grad, before)
+
+    @pytest.mark.parametrize("out_act", ["relu", "sigmoid", "linear"])
+    @pytest.mark.parametrize("hidden", ["relu", "sigmoid", "linear"])
+    def test_matches_textbook_chain_rule_bit_for_bit(self, out_act, hidden):
+        rng = np.random.default_rng(46)
+        net = init_mlp(rng, [7, 30, 12, 4], output_activation=out_act,
+                       hidden_activation=hidden)
+        x = rng.normal(size=(16, 7))
+        out, cache = forward(net, x)
+        g = rng.normal(size=out.shape)
+        param_grad, input_grad = textbook_backward(net, x, g)
+        np.testing.assert_array_equal(backward(net, cache, g), param_grad)
+        np.testing.assert_array_equal(
+            backward(net, cache, g, input_cols=slice(None)), input_grad)
+
+    @pytest.mark.parametrize("cols", [slice(4, None), slice(0, 2), [5, 0, 3], 2])
+    def test_input_columns_equal_those_of_a_full_pass(self, cols):
+        rng = np.random.default_rng(43)
+        net = relu_net(rng, (6, 16, 8, 1), "linear")
+        out, cache = forward(net, rng.normal(size=(9, 6)))
+        g = rng.normal(size=out.shape)
+        full = backward(net, cache, g, input_cols=slice(None))
+        assert full.shape == (9, 6)
+        np.testing.assert_array_equal(backward(net, cache, g, input_cols=cols),
+                                      full[:, cols])
+
+    @pytest.mark.parametrize("out_act", ["relu", "sigmoid", "linear"])
+    def test_caller_arrays_and_earlier_caches_are_not_written(self, out_act):
+        rng = np.random.default_rng(44)
+        net = relu_net(rng, (5, 10, 6, 3), out_act)
+        x = rng.normal(size=(4, 5))
+        x_before = x.copy()
+        out, cache = forward(net, x)
+        cache_before = [a.copy() for a in cache]
+        g = rng.normal(size=out.shape)
+        g_before = g.copy()
+        forward(net, 2.0 * x)
+        backward(net, cache, g)
+        backward(net, cache, g, input_cols=slice(None))
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(g, g_before)
+        assert len(cache) == len(cache_before)
+        for a, b in zip(cache, cache_before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAdam:
