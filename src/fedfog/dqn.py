@@ -12,6 +12,7 @@ reward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,7 @@ class DqnAgent(Agent):
         loss = float(np.mean(np.sum(err ** 2, axis=1)))
         grad_out = np.zeros_like(q)
         grad_out[rows, cols] = 2.0 * err / k
-        if not np.all(np.isfinite(loss)):
+        if not math.isfinite(loss):
             raise FloatingPointError("non-finite TD loss")
         grad = backward(self.net, cache, grad_out)
         adam_step(self.net.params, grad, self.opt)

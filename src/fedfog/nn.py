@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,20 +71,20 @@ def pack(*nets: Mlp) -> np.ndarray:
     return store
 
 
-_work = np.empty(0)
+_local = threading.local()
 
 
 def workspace(size: int) -> np.ndarray:
-    """Scratch vector shared by the in-place updates of this process.
+    """Scratch vector shared by the in-place updates of the calling thread.
 
-    Its contents do not outlive the call that asked for it. Agents run one
-    at a time in a process, so the sharing is safe and keeps the memory of
-    one scratch vector instead of one per network.
+    Its contents do not outlive the call that asked for it. One agent trains
+    on one thread at a time, so each thread keeps one scratch vector, not one
+    per network, and agents training side by side never share it.
     """
-    global _work
-    if _work.size < size:
-        _work = np.empty(size)
-    return _work[:size]
+    work = getattr(_local, "work", None)
+    if work is None or work.size < size:
+        work = _local.work = np.empty(size)
+    return work[:size]
 
 
 ADAM_BETA1 = 0.9

@@ -1,6 +1,9 @@
 """Weight averaging and the synchronous round protocol."""
 
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,10 +14,11 @@ import fedfog.federated as fed
 from fedfog.ddpg import DdpgAgent, DdpgHyperParams
 from fedfog.dqn import DqnHyperParams
 from fedfog.env import EnvConfig
-from fedfog.federated import (GlobalModel, build_agent, evaluate_policy,
-                              federated_average, load_round_checkpoint,
-                              make_eval_envs, run_training,
-                              save_round_checkpoint, setup_federation)
+from fedfog.federated import (GlobalModel, RoundReport, build_agent,
+                              evaluate_policy, federated_average,
+                              load_round_checkpoint, make_eval_envs,
+                              run_round, run_training, save_round_checkpoint,
+                              setup_federation)
 from fedfog.nn import FlatWeights, flatten_mlp, init_mlp
 
 
@@ -214,6 +218,99 @@ class TestRounds:
         tail = [r.eval_cost for r in res.reports]
         assert all(np.isnan(c) for c in tail[:3])
         assert all(np.isfinite(c) for c in tail[3:])
+
+
+def serial_round(agents, envs, model, episodes):
+    """Reference round: the agents train one after another on this thread."""
+    for agent in agents:
+        agent.load_global(model.weights)
+    rows = []
+    for agent, env in zip(agents, envs):
+        for _ in range(episodes):
+            agent.train_episode(env)
+            rows.append(env.episode_metrics())
+    reward, cost, delay, energy = (float(np.mean(c)) for c in zip(*rows))
+    averaged = federated_average([agent.export_weights() for agent in agents])
+    new = GlobalModel(averaged, model.round_index + 1, model.agent_kind)
+    return new, RoundReport(new.round_index,
+                            reward / envs[0].config.steps_per_episode,
+                            cost, delay, energy)
+
+
+def three_rounds(kind, cfg, round_fn, episodes=2):
+    agents, envs, _, model = setup_federation(
+        cfg, kind, 11, ddpg_hp=small_ddpg(), dqn_hp=small_dqn())
+    reports = []
+    for _ in range(3):
+        model, report = round_fn(agents, envs, model, episodes)
+        reports.append(report)
+    return model, reports
+
+
+CELLS = [("ddpg", small_env(num_faps=2, mds_per_fap=3)),
+         ("dqn", small_env(num_faps=4, mds_per_fap=5))]
+
+
+class TestConcurrentRounds:
+    @pytest.mark.parametrize("kind,cfg", CELLS, ids=["ddpg-2x3", "dqn-4x5"])
+    def test_threaded_round_matches_serial_loop(self, kind, cfg, monkeypatch):
+        # one thread per agent, whatever this host has, switching threads
+        # often so that any state the agents shared would be clobbered
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: cfg.num_faps)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            model, reports = three_rounds(kind, cfg, run_round)
+        finally:
+            sys.setswitchinterval(interval)
+        ref_model, ref_reports = three_rounds(kind, cfg, serial_round)
+        np.testing.assert_array_equal(model.weights.values,
+                                      ref_model.weights.values)
+        assert model.round_index == ref_model.round_index == 3
+        assert reports == ref_reports
+
+    def test_one_cpu_gives_same_results_on_one_thread(self, monkeypatch):
+        kind, cfg = CELLS[1]
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: cfg.num_faps)
+        model, reports = three_rounds(kind, cfg, run_round)
+        before = threading.active_count()
+        seen = set()
+        real = fed.FogCellEnv.episode_metrics
+
+        def spy(env):
+            seen.add(threading.active_count())
+            return real(env)
+
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(fed.FogCellEnv, "episode_metrics", spy)
+        one_model, one_reports = three_rounds(kind, cfg, run_round)
+        np.testing.assert_array_equal(model.weights.values,
+                                      one_model.weights.values)
+        assert reports == one_reports
+        assert seen == {before + 1}
+
+    def test_first_failing_agent_aborts_round_and_no_thread_stays(
+            self, monkeypatch):
+        cfg = small_env(num_faps=3)
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: cfg.num_faps)
+        agents, envs, _, model = setup_federation(cfg, "ddpg", 12,
+                                                  ddpg_hp=small_ddpg())
+        before = threading.active_count()
+        run_round(agents, envs, model)
+        assert threading.active_count() == before
+
+        def fail_late(env):
+            time.sleep(0.05)
+            raise RuntimeError("agent 0 failed")
+
+        def fail_now(env):
+            raise RuntimeError("agent 2 failed")
+
+        agents[0].train_episode = fail_late
+        agents[2].train_episode = fail_now
+        with pytest.raises(RuntimeError, match="agent 0 failed"):
+            run_round(agents, envs, model)
+        assert threading.active_count() == before
 
 
 class TestEvaluation:

@@ -3,13 +3,14 @@
 import json
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from fedfog.nn import (AdamState, Mlp, adam_step, backward, flatten_mlp,
                        forward, init_mlp, load_checkpoint, pack,
-                       save_checkpoint)
+                       save_checkpoint, workspace)
 from oracles import central_difference, count_params
 
 
@@ -381,6 +382,31 @@ class TestParamStore:
         flat = flatten_mlp(net)
         assert not np.shares_memory(flat.values, net.params)
         np.testing.assert_array_equal(flat.values, net.params)
+
+
+class TestWorkspace:
+    def test_one_buffer_per_thread(self):
+        # agents train on pool threads side by side, so a scratch vector
+        # shared across threads would let one agent's Adam step clobber
+        # another's
+        both_hold = threading.Barrier(2, timeout=10)
+        got = {}
+
+        def ask(name):
+            got[name] = (workspace(16), workspace(8))
+            both_hold.wait()
+
+        threads = [threading.Thread(target=ask, args=(n,)) for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        (a16, a8), (b16, b8) = got["a"], got["b"]
+        assert not np.shares_memory(a16, b16)
+        assert np.shares_memory(a16, a8) and np.shares_memory(b16, b8)
+        assert not np.shares_memory(workspace(16), a16)
+        assert not np.shares_memory(workspace(16), b16)
 
 
 class TestFlattenWeights:
