@@ -17,10 +17,11 @@ from .env import (ActionConstraintError, ActionVector, CostBreakdown,
                   SlotState, channel_gains, flatten_state, md_energy_coeff,
                   rollout_episode, sanitize_action, slot_cost,
                   spectral_efficiency)
-from .federated import (GlobalModel, RoundReport, TrainingResult,
-                        evaluate_global, evaluate_policy, federated_average,
-                        load_round_checkpoint, make_eval_envs, run_round,
-                        run_training, save_round_checkpoint, setup_federation)
+from .federated import (ClientProcessError, GlobalModel, RoundReport,
+                        TrainingResult, evaluate_global, evaluate_policy,
+                        federated_average, load_round_checkpoint,
+                        make_eval_envs, run_round, run_training,
+                        save_round_checkpoint, setup_federation)
 from .harness import (ExperimentConfig, ExperimentResult, convergence_run,
                       load_config, run_experiment, sweep_fap_cpu, sweep_mds)
 from .nn import (AdamState, FlatWeights, Mlp, adam_step, backward,

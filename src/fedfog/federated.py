@@ -9,17 +9,32 @@ optimizer moments and replay buffers (averaging moments across agents has no
 sound interpretation, and clearing replay every round would throw away nearly
 all experience).
 
-Local training runs concurrently, on a pool of up to one thread per usable
-CPU made for each round; the agents share no mutable state, and numpy
-releases the interpreter lock inside the matrix products that dominate a
-step. Each agent's float operations and random draws are the same whichever
-thread runs them, so results do not depend on the CPU count.
+Local training runs concurrently, in up to one child process per usable
+CPU, forked for each round; processes, unlike threads, do not queue on the
+interpreter lock. Every array an agent keeps across steps (its online and
+target stores, Adam moments and replay ring) lives in anonymous shared
+memory, so the children update the parent's agents in place. Each child
+sends back, per agent, the metric rows and the rest of the agent's and its
+env's state (RNG states, counters, exploration level, replay cursor), so
+after the round the parent's objects are exactly as serial training would
+have left them. Each agent's float operations and random draws are the
+same in whichever process it trains, so results do not depend on the CPU
+count. They do depend on the BLAS thread count, as any float order does,
+and children are forked only where BLAS runs on one thread: a forked child
+restarts a multi-threaded BLAS's spinning threads, which costs more than
+the children save.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import io
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import struct
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +42,8 @@ import numpy as np
 from .ddpg import DdpgAgent, DdpgHyperParams
 from .dqn import DqnAgent, DqnHyperParams
 from .env import EnvConfig, FogCellEnv, rollout_episode
-from .nn import FlatWeights, load_checkpoint, save_checkpoint
+from .nn import (FlatWeights, from_shared_ref, load_checkpoint,
+                 save_checkpoint, shared_ref)
 
 AGENT_KINDS = ("ddpg", "dqn")
 
@@ -128,27 +144,215 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_",
+                        "openblas_get_num_threads")
+
+
+@functools.cache
+def _openblas_thread_getter():
+    """The thread-count function of the OpenBLAS this process has loaded,
+    or None where none can be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SYMBOLS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The loaded BLAS's thread count, or None where it cannot be read."""
+    get = _openblas_thread_getter()
+    return None if get is None else int(get())
+
+
+def _worker_count(n_agents: int) -> int:
+    """Processes a round trains on: one per agent, up to the usable CPUs,
+    where the process can fork and BLAS reports exactly one thread;
+    otherwise 1, which trains in this process."""
+    if not hasattr(os, "fork") or _blas_threads() != 1:
+        return 1
+    return min(n_agents, _usable_cpus())
+
+
+class ClientProcessError(RuntimeError):
+    """An agent's training process failed: its exception could not be sent
+    back, or the process died. Also the cause attached to an exception that
+    was sent back, holding the child's traceback."""
+
+
+class _SharedPickler(pickle.Pickler):
+    """Pickles arrays in shared memory, and their views, by reference."""
+
+    def persistent_id(self, obj):
+        return shared_ref(obj)
+
+
+class _SharedUnpickler(pickle.Unpickler):
+    def persistent_load(self, pid):
+        return from_shared_ref(pid)
+
+
+def _frame(obj) -> bytes:
+    buf = io.BytesIO()
+    _SharedPickler(buf, pickle.HIGHEST_PROTOCOL).dump(obj)
+    return struct.pack("<Q", buf.tell()) + buf.getvalue()
+
+
+def _frames(blob: bytes):
+    """The complete frames in `blob`; a frame cut short is dropped."""
+    at = 0
+    while at + 8 <= len(blob):
+        (size,) = struct.unpack_from("<Q", blob, at)
+        at += 8
+        if at + size > len(blob):
+            return
+        yield _SharedUnpickler(io.BytesIO(blob[at:at + size])).load()
+        at += size
+
+
+def _train_locally(agent, env, episodes: int) -> list[tuple]:
+    rows = []
+    for _ in range(episodes):
+        agent.train_episode(env)
+        rows.append(env.episode_metrics())
+    return rows
+
+
+def _train_share(agents, envs, episodes: int, share, out) -> None:
+    """Child side: train the agents in `share` in order, writing one frame
+    per agent to `out`. A failing agent's frame carries its exception, and
+    no later agent trains."""
+    for i in share:
+        try:
+            rows = _train_locally(agents[i], envs[i], episodes)
+            frame = _frame(("ok", i, rows, vars(agents[i]), vars(envs[i])))
+        except Exception as exc:       # noqa: BLE001 - sent to the parent
+            text = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+            try:
+                sent = pickle.dumps(exc)
+                pickle.loads(sent)
+            except Exception:          # noqa: BLE001 - reported as text
+                sent = None
+            out.write(_frame(("error", i, text, sent)))
+            return
+        out.write(frame)
+
+
+def _exit_reason(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"was killed by {signal.Signals(-code).name}"
+    return f"exited with status {code}"
+
+
+def _sent_error(i: int, text: str, sent: bytes | None) -> Exception:
+    """The exception agent `i` raised in a child, with the child's
+    traceback `text` as its cause, or a ClientProcessError if it could not
+    be sent back."""
+    if sent is None:
+        return ClientProcessError(f"agent {i} failed in its training process "
+                                  f"with an exception that could not be sent "
+                                  f"back:\n{text}")
+    exc = pickle.loads(sent)
+    exc.__cause__ = ClientProcessError(
+        f"agent {i} failed in its training process:\n{text}")
+    return exc
+
+
+def _train_forked(agents, envs, episodes: int, workers: int) -> list[tuple]:
+    """Train agent i in child i % `workers`, forked for this call, and
+    return the metric rows in agent order.
+
+    The parent reaps every child before it returns or raises. Each agent
+    that finished takes on the state its child sent back, and the first
+    failing agent, in agent order, raises.
+    """
+    children = {}       # pid -> (read end of its pipe, agent indices)
+    rows, failures = {}, {}
+    try:
+        for k in range(workers):
+            share = range(k, len(agents), workers)
+            read_fd, write_fd = os.pipe()
+            reader, writer = open(read_fd, "rb"), open(write_fd, "wb")
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    reader.close()
+                    with writer:
+                        _train_share(agents, envs, episodes, share, writer)
+                    status = 0
+                finally:
+                    os._exit(status)
+            writer.close()
+            children[pid] = (reader, share)
+        for pid in list(children):
+            reader, share = children[pid]
+            with reader:
+                blob = reader.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            for frame in _frames(blob):
+                if frame[0] == "ok":
+                    _, i, rows[i], agent_state, env_state = frame
+                    vars(agents[i]).update(agent_state)
+                    vars(envs[i]).update(env_state)
+                else:
+                    _, i, text, sent = frame
+                    failures[i] = _sent_error(i, text, sent)
+            lost = [i for i in share if i not in rows]
+            if lost and lost[0] not in failures:
+                failures[lost[0]] = ClientProcessError(
+                    f"agent {lost[0]}'s training process "
+                    f"{_exit_reason(status)} before the agent finished")
+    finally:
+        for pid, (reader, _) in children.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise failures[min(failures)]
+    return [row for i in range(len(agents)) for row in rows[i]]
+
+
 def run_round(agents, envs, global_model: GlobalModel,
               episodes_per_round: int = 1) -> tuple[GlobalModel, RoundReport]:
     """One synchronous round: broadcast, local training, collect, average.
 
-    The agents train side by side on min(agents, usable CPUs) threads of a
-    pool that ends with the call. Metric rows keep agent order, and the
-    exception of the first failing agent, in that order, aborts the round.
+    The agents train side by side in child processes forked for the call,
+    one per worker (see _worker_count); with one worker they train one after
+    another in this process. No child outlives the call. After a forked
+    round each agent's and env's attributes are new objects holding the
+    state its child left (arrays in shared memory still view the same
+    memory), so a reference to an attribute taken before the round is
+    stale.
+    Metric rows keep agent order, and the exception of the first failing
+    agent, in that order, aborts the round.
     """
     for agent in agents:
         agent.load_global(global_model.weights)
-
-    def train_locally(agent, env) -> list[tuple]:
-        rows = []
-        for _ in range(episodes_per_round):
-            agent.train_episode(env)
-            rows.append(env.episode_metrics())
-        return rows
-
-    with ThreadPoolExecutor(min(len(agents), _usable_cpus())) as pool:
-        rows = [row for local in pool.map(train_locally, agents, envs)
-                for row in local]
+    workers = _worker_count(len(agents))
+    if workers == 1:
+        rows = [row for agent, env in zip(agents, envs)
+                for row in _train_locally(agent, env, episodes_per_round)]
+    else:
+        rows = _train_forked(agents, envs, episodes_per_round, workers)
     reward, cost, delay, energy = _column_means(rows)
     averaged = federated_average([agent.export_weights() for agent in agents])
     new_model = GlobalModel(averaged, global_model.round_index + 1,

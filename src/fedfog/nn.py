@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import struct
-import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,8 @@ class Mlp:
     [W0, b0, W1, b1, ...]; every weight and bias is a view into it. The
     constructor copies the given arrays into a fresh vector. `grad` is the
     buffer a parameter pass of backward() writes, laid out like `params`
-    and made on first use; an input-gradient pass leaves it alone.
+    and made on first use; an input-gradient pass leaves it alone. A pickled
+    net leaves `grad` behind.
     """
 
     weights: list[np.ndarray]
@@ -59,10 +61,14 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, list(self.activations))
 
+    def __getstate__(self):
+        # scratch: each parameter pass rewrites it in full
+        return {**vars(self), "grad": None}
+
 
 def pack(*nets: Mlp) -> np.ndarray:
-    """Move the parameters of `nets` into one new vector, in order."""
-    store = np.empty(sum(net.params.size for net in nets))
+    """Move the parameters of `nets` into one new shared vector, in order."""
+    store = shared_zeros(sum(net.params.size for net in nets))
     off = 0
     for net in nets:
         size = net.params.size
@@ -71,20 +77,58 @@ def pack(*nets: Mlp) -> np.ndarray:
     return store
 
 
-_local = threading.local()
+# data address -> f64 array made by shared_zeros; forked children inherit
+# both the mappings and this table, so an address means the same memory
+_shared = weakref.WeakValueDictionary()
+
+
+def shared_zeros(shape) -> np.ndarray:
+    """Zeroed f64 array in anonymous shared memory.
+
+    A process forked after the array is made writes the same pages, so its
+    updates are seen by the parent and the other children.
+    """
+    count = int(np.prod(shape))
+    root = np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), count=count)
+    _shared[root.__array_interface__["data"][0]] = root
+    return root.reshape(shape)
+
+
+def shared_ref(obj):
+    """(address, offset, shape, strides) of an array that lies in memory
+    made by shared_zeros, or None for any other object."""
+    if type(obj) is not np.ndarray:
+        return None
+    root = obj
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    addr = root.__array_interface__["data"][0]
+    if _shared.get(addr) is not root:
+        return None
+    return (addr, obj.__array_interface__["data"][0] - addr, obj.shape,
+            obj.strides)
+
+
+def from_shared_ref(ref) -> np.ndarray:
+    """The view a shared_ref describes, in this process's shared memory."""
+    addr, offset, shape, strides = ref
+    return np.ndarray(shape, float, _shared[addr], offset, strides)
+
+
+_work = np.empty(0)
 
 
 def workspace(size: int) -> np.ndarray:
-    """Scratch vector shared by the in-place updates of the calling thread.
+    """Scratch vector shared by the in-place updates of this process.
 
-    Its contents do not outlive the call that asked for it. One agent trains
-    on one thread at a time, so each thread keeps one scratch vector, not one
-    per network, and agents training side by side never share it.
+    Its contents do not outlive the call that asked for it. A process trains
+    one agent at a time, so the sharing is safe and keeps the memory of one
+    scratch vector instead of one per network.
     """
-    work = getattr(_local, "work", None)
-    if work is None or work.size < size:
-        work = _local.work = np.empty(size)
-    return work[:size]
+    global _work
+    if _work.size < size:
+        _work = np.empty(size)
+    return _work[:size]
 
 
 ADAM_BETA1 = 0.9
@@ -103,7 +147,9 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
-        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
+        """Zero moments in shared memory, shaped like `params`."""
+        return cls(lr=lr, m=shared_zeros(params.shape),
+                   v=shared_zeros(params.shape))
 
 
 @dataclass

@@ -6,6 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .nn import shared_zeros
+
 
 class Transition(NamedTuple):
     state: np.ndarray
@@ -15,16 +17,17 @@ class Transition(NamedTuple):
 
 
 class ReplayBuffer:
-    """Ring buffer over preallocated arrays; sampling is uniform."""
+    """Ring buffer over preallocated arrays in shared memory (so a forked
+    process that adds rows writes its parent's copy); sampling is uniform."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros((capacity, action_dim))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.states = shared_zeros((capacity, state_dim))
+        self.actions = shared_zeros((capacity, action_dim))
+        self.rewards = shared_zeros(capacity)
+        self.next_states = shared_zeros((capacity, state_dim))
         self.size = 0
         self.cursor = 0
 

@@ -1,8 +1,8 @@
 """Weight averaging and the synchronous round protocol."""
 
+import os
+import signal
 import struct
-import sys
-import threading
 import time
 
 import numpy as np
@@ -14,11 +14,12 @@ import fedfog.federated as fed
 from fedfog.ddpg import DdpgAgent, DdpgHyperParams
 from fedfog.dqn import DqnHyperParams
 from fedfog.env import EnvConfig
-from fedfog.federated import (GlobalModel, RoundReport, build_agent,
-                              evaluate_policy, federated_average,
+from fedfog.federated import (ClientProcessError, GlobalModel, RoundReport,
+                              build_agent, evaluate_policy, federated_average,
                               load_round_checkpoint, make_eval_envs,
                               run_round, run_training, save_round_checkpoint,
                               setup_federation)
+from fedfog.harness import ExperimentConfig, run_experiment
 from fedfog.nn import FlatWeights, flatten_mlp, init_mlp
 
 
@@ -244,60 +245,133 @@ def three_rounds(kind, cfg, round_fn, episodes=2):
     for _ in range(3):
         model, report = round_fn(agents, envs, model, episodes)
         reports.append(report)
-    return model, reports
+    return model, reports, agents, envs
+
+
+def snapshot(obj):
+    """Comparable image of an object's full state, scratch gradients aside:
+    arrays by bytes, generators by bit-generator state, objects by their
+    attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, np.random.Generator):
+        return snapshot(obj.bit_generator.state)
+    if isinstance(obj, dict):
+        return {k: snapshot(v) for k, v in obj.items() if k != "grad"}
+    if isinstance(obj, (list, tuple)):
+        return [snapshot(v) for v in obj]
+    if isinstance(obj, float):
+        return obj.hex()
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, snapshot(vars(obj))
+    return obj
 
 
 CELLS = [("ddpg", small_env(num_faps=2, mds_per_fap=3)),
          ("dqn", small_env(num_faps=4, mds_per_fap=5))]
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Let rounds fork whatever the BLAS; returns the pids of the children
+    this process forks."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(fed, "_blas_threads", lambda: 1)
+    pids = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def no_child_left(pids):
+    # per pid: the suite's process pools leave other children running
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestConcurrentRounds:
+    @pytest.mark.parametrize("cpus", [2, 4])
     @pytest.mark.parametrize("kind,cfg", CELLS, ids=["ddpg-2x3", "dqn-4x5"])
-    def test_threaded_round_matches_serial_loop(self, kind, cfg, monkeypatch):
-        # one thread per agent, whatever this host has, switching threads
-        # often so that any state the agents shared would be clobbered
-        monkeypatch.setattr(fed, "_usable_cpus", lambda: cfg.num_faps)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            model, reports = three_rounds(kind, cfg, run_round)
-        finally:
-            sys.setswitchinterval(interval)
-        ref_model, ref_reports = three_rounds(kind, cfg, serial_round)
+    def test_forked_round_matches_serial_loop(self, kind, cfg, cpus, forks,
+                                              monkeypatch):
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: cpus)
+        model, reports, agents, envs = three_rounds(kind, cfg, run_round)
+        assert len(forks) == 3 * min(cpus, cfg.num_faps)
+        ref_model, ref_reports, ref_agents, ref_envs = three_rounds(
+            kind, cfg, serial_round)
         np.testing.assert_array_equal(model.weights.values,
                                       ref_model.weights.values)
         assert model.round_index == ref_model.round_index == 3
         assert reports == ref_reports
+        # the state each child sends back, and the shared arrays it wrote
+        for agent, ref in zip(agents, ref_agents):
+            assert agent.buffer.size == ref.buffer.size > 0
+            opts = ([agent.actor_opt, agent.critic_opt] if kind == "ddpg"
+                    else [agent.opt])
+            assert all(opt.step_count > 0 for opt in opts)
+            assert snapshot(agent) == snapshot(ref)
+        for env, ref in zip(envs, ref_envs):
+            assert env.t == ref.t > 0
+            assert snapshot(env) == snapshot(ref)
+        no_child_left(forks)
 
-    def test_one_cpu_gives_same_results_on_one_thread(self, monkeypatch):
+    def test_one_cpu_gives_same_results_on_one_thread(self, forks,
+                                                      monkeypatch):
         kind, cfg = CELLS[1]
         monkeypatch.setattr(fed, "_usable_cpus", lambda: cfg.num_faps)
-        model, reports = three_rounds(kind, cfg, run_round)
-        before = threading.active_count()
-        seen = set()
-        real = fed.FogCellEnv.episode_metrics
-
-        def spy(env):
-            seen.add(threading.active_count())
-            return real(env)
-
+        model, reports, agents, _ = three_rounds(kind, cfg, run_round)
+        assert forks
         monkeypatch.setattr(fed, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(fed.FogCellEnv, "episode_metrics", spy)
-        one_model, one_reports = three_rounds(kind, cfg, run_round)
+        forks.clear()
+        one_model, one_reports, one_agents, _ = three_rounds(kind, cfg,
+                                                             run_round)
+        assert not forks
         np.testing.assert_array_equal(model.weights.values,
                                       one_model.weights.values)
         assert reports == one_reports
-        assert seen == {before + 1}
+        assert snapshot(agents) == snapshot(one_agents)
 
-    def test_first_failing_agent_aborts_round_and_no_thread_stays(
-            self, monkeypatch):
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_multithreaded_or_unknown_blas_trains_in_process(
+            self, threads, forks, monkeypatch):
+        # a forked child restarts a multi-threaded BLAS's spinning threads
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(fed, "_blas_threads", lambda: threads)
+        assert fed._worker_count(4) == 1
+        agents, envs, _, model = setup_federation(small_env(), "dqn", 3,
+                                                  dqn_hp=small_dqn())
+        run_round(agents, envs, model)
+        assert not forks
+
+    def test_blas_thread_count_is_read(self):
+        threads = fed._blas_threads()
+        if threads is None:
+            pytest.skip("the loaded BLAS does not report its thread count")
+        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            pytest.skip("BLAS is not pinned to one thread")
+        assert threads == 1
+
+    @pytest.fixture
+    def three_agents(self, forks, monkeypatch):
         cfg = small_env(num_faps=3)
         monkeypatch.setattr(fed, "_usable_cpus", lambda: cfg.num_faps)
         agents, envs, _, model = setup_federation(cfg, "ddpg", 12,
                                                   ddpg_hp=small_ddpg())
-        before = threading.active_count()
         run_round(agents, envs, model)
-        assert threading.active_count() == before
+        no_child_left(forks)
+        return agents, envs, model, forks
+
+    def test_first_failing_agent_aborts_round(self, three_agents):
+        agents, envs, model, forks = three_agents
 
         def fail_late(env):
             time.sleep(0.05)
@@ -308,9 +382,63 @@ class TestConcurrentRounds:
 
         agents[0].train_episode = fail_late
         agents[2].train_episode = fail_now
-        with pytest.raises(RuntimeError, match="agent 0 failed"):
+        with pytest.raises(RuntimeError, match="agent 0 failed") as info:
             run_round(agents, envs, model)
-        assert threading.active_count() == before
+        assert isinstance(info.value.__cause__, ClientProcessError)
+        assert "agent 0 failed in its training process" in str(
+            info.value.__cause__)
+        assert "fail_late" in str(info.value.__cause__)   # child traceback
+        no_child_left(forks)
+
+    def test_exception_that_cannot_be_pickled(self, three_agents):
+        agents, envs, model, forks = three_agents
+
+        class LocalError(Exception):
+            pass
+
+        def fail(env):
+            raise LocalError("no way back")
+
+        agents[1].train_episode = fail
+        with pytest.raises(ClientProcessError,
+                           match="agent 1 failed .* could not be sent back"
+                           ) as info:
+            run_round(agents, envs, model)
+        assert "LocalError: no way back" in str(info.value)
+        no_child_left(forks)
+
+    def test_killed_child(self, three_agents):
+        agents, envs, model, forks = three_agents
+
+        def die(env):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        agents[1].train_episode = die
+        with pytest.raises(ClientProcessError,
+                           match="agent 1's training process was killed by "
+                                 "SIGKILL"):
+            run_round(agents, envs, model)
+        no_child_left(forks)
+
+    def test_pool_workers_write_the_same_files(self, tmp_path, forks,
+                                               monkeypatch):
+        # run_experiment's worker processes fork their rounds' children too
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        files = {}
+        for workers in (1, 2):
+            cfg = ExperimentConfig(env=small_env(), ddpg=small_ddpg(),
+                                   dqn=small_dqn(), rounds=3, seeds=[1, 2],
+                                   eval_episodes=2, eval_last_rounds=1,
+                                   workers=workers,
+                                   out_dir=str(tmp_path / str(workers)))
+            run_experiment(cfg)
+            assert forks
+            root = tmp_path / str(workers)
+            files[workers] = {p.relative_to(root): p.read_bytes()
+                              for p in root.rglob("*") if p.is_file()}
+        assert files[1] == files[2]
+        assert any(p.suffix == ".ckpt" for p in files[1])
+        no_child_left(forks)
 
 
 class TestEvaluation:

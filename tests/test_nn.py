@@ -3,7 +3,6 @@
 import json
 import re
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -385,28 +384,13 @@ class TestParamStore:
 
 
 class TestWorkspace:
-    def test_one_buffer_per_thread(self):
-        # agents train on pool threads side by side, so a scratch vector
-        # shared across threads would let one agent's Adam step clobber
-        # another's
-        both_hold = threading.Barrier(2, timeout=10)
-        got = {}
-
-        def ask(name):
-            got[name] = (workspace(16), workspace(8))
-            both_hold.wait()
-
-        threads = [threading.Thread(target=ask, args=(n,)) for n in "ab"]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        (a16, a8), (b16, b8) = got["a"], got["b"]
-        assert not np.shares_memory(a16, b16)
-        assert np.shares_memory(a16, a8) and np.shares_memory(b16, b8)
-        assert not np.shares_memory(workspace(16), a16)
-        assert not np.shares_memory(workspace(16), b16)
+    def test_one_vector_grows_on_demand(self):
+        # one process trains one agent at a time, so one vector serves all
+        small = workspace(8)
+        assert np.shares_memory(small, workspace(4))
+        big = workspace(small.base.size + 1)
+        assert np.shares_memory(big, workspace(8))
+        assert not np.shares_memory(big, small)
 
 
 class TestFlattenWeights:
