@@ -180,13 +180,14 @@ def _blas_threads() -> int | None:
     return None if get is None else int(get())
 
 
-def _worker_count(n_agents: int) -> int:
-    """Processes a round trains on: one per agent, up to the usable CPUs,
-    where the process can fork and BLAS reports exactly one thread;
-    otherwise 1, which trains in this process."""
+def worker_count(n_jobs: int) -> int:
+    """Processes that `n_jobs` independent jobs run on: one per job, up to
+    the usable CPUs, where the process can fork and BLAS reports exactly one
+    thread; otherwise 1, which runs them in this process. The one rule for
+    a round's agents and for an experiment's (kind, seed) cells."""
     if not hasattr(os, "fork") or _blas_threads() != 1:
         return 1
-    return min(n_agents, _usable_cpus())
+    return min(n_jobs, _usable_cpus())
 
 
 class ClientProcessError(RuntimeError):
@@ -336,7 +337,7 @@ def run_round(agents, envs, global_model: GlobalModel,
     """One synchronous round: broadcast, local training, collect, average.
 
     The agents train side by side in child processes forked for the call,
-    one per worker (see _worker_count); with one worker they train one after
+    one per worker (see worker_count); with one worker they train one after
     another in this process. No child outlives the call. After a forked
     round each agent's and env's attributes are new objects holding the
     state its child left (arrays in shared memory still view the same
@@ -347,7 +348,7 @@ def run_round(agents, envs, global_model: GlobalModel,
     """
     for agent in agents:
         agent.load_global(global_model.weights)
-    workers = _worker_count(len(agents))
+    workers = worker_count(len(agents))
     if workers == 1:
         rows = [row for agent, env in zip(agents, envs)
                 for row in _train_locally(agent, env, episodes_per_round)]

@@ -28,7 +28,7 @@ from .ddpg import DdpgHyperParams
 from .dqn import DqnHyperParams
 from .env import EnvConfig
 from .federated import (evaluate_global, evaluate_policy, make_eval_envs,
-                        run_training)
+                        run_training, worker_count)
 
 ALL_KINDS = ("fed-ddpg", "fed-dqn", "local", "fap-equal", "oracle")
 TRAINED_KINDS = ("fed-ddpg", "fed-dqn")
@@ -58,7 +58,6 @@ class ExperimentConfig:
     md_sweep: list = field(default_factory=lambda: [1, 2, 3])
     fap_cpu_sweep: list = field(default_factory=lambda: [2e9, 5e9, 8e9])
     out_dir: str = "results"
-    workers: int = 1
     save_checkpoints: bool = True
     checkpoint_every: int = 0       # extra per-round snapshots; 0 = final only
 
@@ -76,7 +75,7 @@ class ExperimentConfig:
                 raise ValueError(f"run.agent_kinds contains unknown kind "
                                  f"{kind!r}; valid: {ALL_KINDS}")
         for name in ("rounds", "episodes_per_round", "eval_episodes",
-                     "sweep_rounds", "workers"):
+                     "sweep_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"run.{name} must be >= 1")
         if self.eval_last_rounds < 0 or self.checkpoint_every < 0:
@@ -106,7 +105,7 @@ PRESETS = {
 }
 
 _RUN_FIELDS = ("rounds", "episodes_per_round", "seeds", "eval_episodes",
-               "eval_last_rounds", "sweep_rounds", "agent_kinds", "workers",
+               "eval_last_rounds", "sweep_rounds", "agent_kinds",
                "save_checkpoints", "checkpoint_every")
 _SWEEP_FIELDS = {"mds": "md_sweep", "fap_cpu": "fap_cpu_sweep"}
 _KINDS = {bool: "true/false", int: "an integer", float: "a finite number",
@@ -191,8 +190,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path=None, preset=None, seed=None, out_dir=None,
-                workers=None) -> ExperimentConfig:
+def load_config(path=None, preset=None, seed=None,
+                out_dir=None) -> ExperimentConfig:
     """Defaults, then preset, then config file, then CLI overrides."""
     data: dict = {}
     if preset is not None:
@@ -213,8 +212,6 @@ def load_config(path=None, preset=None, seed=None, out_dir=None,
         cfg.seeds = [int(seed)]
     if out_dir is not None:
         cfg.out_dir = str(out_dir)
-    if workers is not None:
-        cfg.workers = int(workers)
     cfg.validate()
     return cfg
 
@@ -309,10 +306,6 @@ def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
     return RunOutput(kind, seed, rows, final_eval, _round12(tail_cost))
 
 
-def _run_cell_star(args) -> RunOutput:
-    return _run_cell(*args)
-
-
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -325,16 +318,19 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every (agent kind, seed) cell and persist the metric CSVs.
 
-    Writes one curve CSV per run, an aggregate curve CSV (mean and
+    The cells run side by side on worker_count(cells) processes, or in
+    this process when that is 1; each cell's numbers are the same either
+    way. Writes one curve CSV per run, an aggregate curve CSV (mean and
     population std over seeds, recomputable from the per-run files), a
     per-run eval CSV, and its aggregate. Failures in any cell propagate.
     """
     cfg.validate()
     cells = [(kind, seed) for kind in cfg.agent_kinds for seed in cfg.seeds]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outputs = list(pool.map(_run_cell_star,
-                                    [(cfg, k, s) for k, s in cells]))
+    workers = worker_count(len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_run_cell, [cfg] * len(cells),
+                                    *zip(*cells)))
     else:
         outputs = [_run_cell(cfg, k, s) for k, s in cells]
     runs = {(o.kind, o.seed): o for o in outputs}

@@ -23,7 +23,8 @@ from fedfog.dqn import DqnHyperParams
 from fedfog.env import (ActionVector, EnvConfig, FogCellEnv, sanitize_action,
                         slot_cost)
 from fedfog.federated import (build_agent, evaluate_policy,
-                              federated_average, make_eval_envs, run_training)
+                              federated_average, make_eval_envs, run_training,
+                              worker_count)
 from fedfog.harness import (ExperimentConfig, rounds_to_threshold,
                             sweep_fap_cpu, sweep_mds)
 from fedfog.nn import backward, flatten_mlp, forward, init_mlp
@@ -208,12 +209,12 @@ def desk_runs():
 
     The per-round eval tail and the baseline evaluations consume the same
     held-out episode draws, so their means are directly comparable. The six
-    trainings are independent and seeded, so two worker processes run them
-    with the same results as one after the other; the longer DDPG runs go
-    first.
+    trainings are independent and seeded, so worker_count's processes run
+    them with the same results as one after the other; the longer DDPG runs
+    go first.
     """
     jobs = [(kind, seed) for kind in ("ddpg", "dqn") for seed in SEEDS]
-    with ProcessPoolExecutor(max_workers=2,
+    with ProcessPoolExecutor(max_workers=worker_count(len(jobs)),
                              mp_context=multiprocessing.get_context("spawn")
                              ) as pool:
         parts = list(pool.map(_desk_run, *zip(*jobs)))
@@ -301,7 +302,7 @@ def sweep_rows(tmp_path_factory):
     cfg = ExperimentConfig(env=DESK, ddpg=ACCEPT_DDPG, dqn=ACCEPT_DQN,
                            seeds=list(SEEDS), sweep_rounds=40,
                            eval_episodes=20, save_checkpoints=False,
-                           workers=2, out_dir=str(base / "m"))
+                           out_dir=str(base / "m"))
     _, m_rows = sweep_mds(cfg, [1, 2, 3])
     cfg_f = ExperimentConfig(env=DESK, seeds=list(SEEDS), sweep_rounds=1,
                              eval_episodes=20, save_checkpoints=False,

@@ -298,6 +298,17 @@ def no_child_left(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def experiment_files(root):
+    """Run a small 5-kind, 2-seed experiment into `root`; its files' bytes
+    by relative path."""
+    cfg = ExperimentConfig(env=small_env(), ddpg=small_ddpg(), dqn=small_dqn(),
+                           rounds=3, seeds=[1, 2], eval_episodes=2,
+                           eval_last_rounds=1, out_dir=str(root))
+    run_experiment(cfg)
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 class TestConcurrentRounds:
     @pytest.mark.parametrize("cpus", [2, 4])
     @pytest.mark.parametrize("kind,cfg", CELLS, ids=["ddpg-2x3", "dqn-4x5"])
@@ -340,16 +351,24 @@ class TestConcurrentRounds:
         assert reports == one_reports
         assert snapshot(agents) == snapshot(one_agents)
 
+    @pytest.fixture(scope="class")
+    def serial_files(self, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fed, "_usable_cpus", lambda: 1)
+            return experiment_files(tmp_path_factory.mktemp("serial"))
+
     @pytest.mark.parametrize("threads", [2, None])
     def test_multithreaded_or_unknown_blas_trains_in_process(
-            self, threads, forks, monkeypatch):
+            self, threads, serial_files, tmp_path, forks, monkeypatch):
         # a forked child restarts a multi-threaded BLAS's spinning threads
         monkeypatch.setattr(fed, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(fed, "_blas_threads", lambda: threads)
-        assert fed._worker_count(4) == 1
+        assert fed.worker_count(4) == 1
         agents, envs, _, model = setup_federation(small_env(), "dqn", 3,
                                                   dqn_hp=small_dqn())
         run_round(agents, envs, model)
+        # nor does an experiment start a pool for its (kind, seed) cells
+        assert experiment_files(tmp_path) == serial_files
         assert not forks
 
     def test_blas_thread_count_is_read(self):
@@ -420,24 +439,15 @@ class TestConcurrentRounds:
             run_round(agents, envs, model)
         no_child_left(forks)
 
-    def test_pool_workers_write_the_same_files(self, tmp_path, forks,
-                                               monkeypatch):
-        # run_experiment's worker processes fork their rounds' children too
-        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
-        files = {}
-        for workers in (1, 2):
-            cfg = ExperimentConfig(env=small_env(), ddpg=small_ddpg(),
-                                   dqn=small_dqn(), rounds=3, seeds=[1, 2],
-                                   eval_episodes=2, eval_last_rounds=1,
-                                   workers=workers,
-                                   out_dir=str(tmp_path / str(workers)))
-            run_experiment(cfg)
-            assert forks
-            root = tmp_path / str(workers)
-            files[workers] = {p.relative_to(root): p.read_bytes()
-                              for p in root.rglob("*") if p.is_file()}
-        assert files[1] == files[2]
-        assert any(p.suffix == ".ckpt" for p in files[1])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pool_writes_the_same_files(self, cpus, serial_files, tmp_path,
+                                        forks, monkeypatch):
+        # the pool's processes fork their rounds' children too
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: cpus)
+        assert fed.worker_count(10) == cpus
+        assert experiment_files(tmp_path) == serial_files
+        assert any(p.suffix == ".ckpt" for p in serial_files)
+        assert bool(forks) == (cpus > 1)
         no_child_left(forks)
 
 

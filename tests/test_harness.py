@@ -102,6 +102,8 @@ class TestConfigLoading:
             config_from_dict({"env": {"cell_size": 100}})
         with pytest.raises(ValueError, match="run.episodes"):
             config_from_dict({"run": {"episodes": 5}})
+        with pytest.raises(ValueError, match="run.workers"):
+            config_from_dict({"run": {"workers": 2}})
         with pytest.raises(ValueError, match="sweeps.cpus"):
             config_from_dict({"sweeps": {"cpus": [1e9]}})
         with pytest.raises(ValueError, match="ddpg.alpha"):
@@ -111,12 +113,11 @@ class TestConfigLoading:
         over = tmp_path / "over.yaml"
         over.write_text("run:\n  rounds: 7\n")
         cfg = load_config(path=str(over), preset="paper-scale",
-                          seed=9, out_dir="elsewhere", workers=2)
+                          seed=9, out_dir="elsewhere")
         assert cfg.env.num_faps == 4          # from the preset
         assert cfg.rounds == 7                # file overrides preset
         assert cfg.seeds == [9]               # CLI overrides file
         assert cfg.out_dir == "elsewhere"
-        assert cfg.workers == 2
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -241,16 +242,6 @@ class TestRunExperiment:
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 assert fa.read() == fb.read(), pa
 
-    def test_workers_match_serial(self, tmp_path):
-        import os
-        cfg_s = tiny_cfg(tmp_path / "serial")
-        cfg_p = tiny_cfg(tmp_path / "parallel")
-        cfg_p.workers = 2
-        rs, rp = run_experiment(cfg_s), run_experiment(cfg_p)
-        for ps, pp in zip(sorted(rs.files), sorted(rp.files)):
-            with open(ps, "rb") as fs, open(pp, "rb") as fp:
-                assert fs.read() == fp.read(), ps
-
     def test_checkpoints_saved_for_trained_kinds(self, result):
         import os
         ckpt_root = os.path.join(result.config.out_dir, "checkpoints")
@@ -372,13 +363,6 @@ class TestCli:
         assert rc == 0
         assert "round 2" in capsys.readouterr().out
 
-    def test_oracle_check_passes(self, capsys):
-        rc = main(["oracle-check", "--trials", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 4
-        assert "OK: 4/4 checks passed" in out
-
     def test_invalid_config_reports_and_fails(self, tmp_path, capsys):
         for key in ("warp_drive", "rng_seed", "weight_energy"):
             bad = tmp_path / "bad.yaml"
@@ -417,10 +401,7 @@ class TestCli:
 
     def test_unread_flags_refused(self, tmp_path):
         ckpt = str(tmp_path / "model.ckpt")
-        for argv in (["oracle-check", "--config", "x.yaml"],
-                     ["oracle-check", "--preset", "paper-scale"],
-                     ["oracle-check", "--workers", "9"],
-                     ["oracle-check", "--out", str(tmp_path)],
+        for argv in (["train", "--workers", "2"],
                      ["eval", "--checkpoint", ckpt, "--workers", "2"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
