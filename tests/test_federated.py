@@ -439,15 +439,14 @@ class TestConcurrentRounds:
             run_round(agents, envs, model)
         no_child_left(forks)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_pool_writes_the_same_files(self, cpus, serial_files, tmp_path,
-                                        forks, monkeypatch):
+    def test_pool_workers_write_the_same_files(self, serial_files, tmp_path,
+                                               forks, monkeypatch):
         # the pool's processes fork their rounds' children too
-        monkeypatch.setattr(fed, "_usable_cpus", lambda: cpus)
-        assert fed.worker_count(10) == cpus
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        assert fed.worker_count(10) == 2
         assert experiment_files(tmp_path) == serial_files
         assert any(p.suffix == ".ckpt" for p in serial_files)
-        assert bool(forks) == (cpus > 1)
+        assert forks
         no_child_left(forks)
 
 

@@ -242,6 +242,23 @@ class TestRunExperiment:
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 assert fa.read() == fb.read(), pa
 
+    def test_workers_match_serial(self, tmp_path, monkeypatch):
+        # a pool of worker_count processes writes what one process writes
+        import os
+        import fedfog.federated as fed
+        monkeypatch.setattr(fed, "_blas_threads", lambda: 1)
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(fed, "_usable_cpus", lambda: cpus)
+            assert fed.worker_count(10) == cpus
+            runs[cpus] = run_experiment(tiny_cfg(tmp_path / str(cpus)))
+        rs, rp = runs[1], runs[2]
+        assert len(rs.files) == len(rp.files)
+        for ps, pp in zip(sorted(rs.files), sorted(rp.files)):
+            assert os.path.basename(ps) == os.path.basename(pp)
+            with open(ps, "rb") as fs, open(pp, "rb") as fp:
+                assert fs.read() == fp.read(), ps
+
     def test_checkpoints_saved_for_trained_kinds(self, result):
         import os
         ckpt_root = os.path.join(result.config.out_dir, "checkpoints")
