@@ -43,13 +43,15 @@ class Agent:
 
     def train_episode(self, env: FogCellEnv) -> EpisodeReport:
         """Run one episode with exploration, learning after every step."""
-        state = env.reset()
+        s = env.flatten_state(env.reset())
         losses = []
         for _ in range(env.config.steps_per_episode):
-            s = env.flatten_state(state)
             stored, action = self.act(s, explore=True)
             reward, state = env.step(action)
-            self.buffer.add(s, stored, reward, env.flatten_state(state))
+            # buffer.add copies, so the next step may read the same vector
+            s_next = env.flatten_state(state)
+            self.buffer.add(s, stored, reward, s_next)
+            s = s_next
             loss = self.update_step()
             if loss is not None:
                 losses.append(loss)

@@ -374,6 +374,14 @@ class FogCellEnv:
     A single instance is owned by one agent and is not thread-safe; run one
     instance per FAP for a multi-cell system. All randomness (device draws,
     tasks, mobility) flows from the instance seed.
+
+    No action changes what the cell draws, so reset() draws the episode's
+    whole exogenous input at once, as its trace: the devices, every slot's
+    tasks, positions and gains. step() charges the slot and moves on to the
+    trace's next row. A whole episode is the same as if each slot drew its
+    tasks when it opened and each move its steps when the slot closed. The
+    draws are fixed at reset(), though: the next reset() draws on from the
+    end of the whole trace, however many slots of it were played.
     """
 
     def __init__(self, config: EnvConfig, seed):
@@ -391,9 +399,11 @@ class FogCellEnv:
         self.last_cost: CostBreakdown | None = None
         self.t = 0
         self._sums = (0.0, 0.0, 0.0, 0.0)  # reward, cost, delay, energy
+        self._trace: tuple[np.ndarray, ...] = ()
 
     def reset(self, seed=None) -> SlotState:
-        """Start a fresh episode; equal seeds reproduce it exactly.
+        """Start a fresh episode and draw its trace; equal seeds reproduce
+        it exactly.
 
         MD positions are re-drawn uniformly in the cell and each device's CPU
         frequency and transmit power are re-drawn once and held fixed for the
@@ -404,14 +414,15 @@ class FogCellEnv:
         cfg = self.config
         m = cfg.mds_per_fap
         fap = self.fap
-        fap.md_positions = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
+        start = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
         fap.md_cpu_freq = self._rng.uniform(*cfg.md_cpu_range, size=m)
         fap.md_tx_power = self._rng.uniform(*cfg.md_power_range, size=m)
         fap.md_energy_coeff = md_energy_coeff(fap.md_cpu_freq)
+        self._trace = self._draw_trace(start)
         self.t = 0
         self.last_cost = None
         self._sums = (0.0, 0.0, 0.0, 0.0)
-        self.state = self._observe()
+        self.state = self._slot(0)
         return self.state
 
     def step(self, action: ActionVector) -> tuple[float, SlotState]:
@@ -431,42 +442,62 @@ class FogCellEnv:
         r, c, d, e = self._sums
         self._sums = (r + reward, c + breakdown.cost,
                       d + breakdown.total_delay, e + breakdown.total_energy)
-        self._move_devices()
         self.t += 1
-        self.state = self._observe()
+        self.state = self._slot(self.t)
         return reward, self.state
 
     def episode_metrics(self) -> tuple[float, float, float, float]:
         """(total reward, mean cost, mean delay, mean energy) of the slots
         played since reset(); the means are per-slot averages of the cell
         totals."""
+        if self.t == 0:
+            raise RuntimeError("episode_metrics() averages over the slots "
+                               "played since reset(), and no slot has been "
+                               "played")
         reward, cost, delay, energy = self._sums
         return reward, cost / self.t, delay / self.t, energy / self.t
 
     def flatten_state(self, state: SlotState) -> np.ndarray:
         return flatten_state(state, self.config)
 
-    def _observe(self) -> SlotState:
-        """Draw fresh tasks and snapshot positions/gains for the new slot."""
-        cfg = self.config
-        m = cfg.mds_per_fap
-        bits = self._rng.uniform(*cfg.task_bits_range, size=m)
-        cpb = self._rng.uniform(*cfg.cycles_per_bit_range, size=m)
-        fap = self.fap
-        gains = channel_gains(fap.md_positions, fap.position,
-                              cfg.path_loss_alpha)
-        return SlotState(bits, bits * cpb, fap.position.copy(),
-                         fap.md_positions.copy(), gains)
+    def _draw_trace(self, start: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Task bits and cycles, FAP position, MD positions and gains of the
+        episode's T + 1 slots, row t for slot t, from MD positions `start`.
 
-    def _move_devices(self) -> None:
-        """Bounded random walk, reflected at the cell walls."""
+        One block of uniforms holds, per slot, the step length and heading
+        of the move that opens it, then its task bits and cycles per bit;
+        slot 0 opens without a move. Each is scaled as lo + (hi - lo) * u,
+        as Generator.uniform scales the same draws. The moves form a
+        bounded random walk, reflected at the cell walls slot by slot.
+        """
         cfg = self.config
-        m = cfg.mds_per_fap
-        step_len = self._rng.uniform(0.0, cfg.max_move_per_slot, size=m)
-        angle = self._rng.uniform(0.0, 2.0 * np.pi, size=m)
-        heading = np.stack((np.cos(angle), np.sin(angle)), axis=1)
-        self.fap.md_positions = _reflect(
-            self.fap.md_positions + step_len[:, None] * heading, cfg.cell_side)
+        steps, m = cfg.steps_per_episode, cfg.mds_per_fap
+        u = np.empty((steps + 1, 4, m))
+        self._rng.random(out=u.reshape(-1)[2 * m:])
+        lo, hi = cfg.task_bits_range
+        bits = lo + (hi - lo) * u[:, 2]
+        lo, hi = cfg.cycles_per_bit_range
+        cycles = bits * (lo + (hi - lo) * u[:, 3])
+        step_len = cfg.max_move_per_slot * u[1:, 0]
+        angle = 2.0 * np.pi * u[1:, 1]
+        heading = np.stack((np.cos(angle), np.sin(angle)), axis=2)
+        moves = step_len[:, :, None] * heading
+        positions = np.empty((steps + 1, m, 2))
+        positions[0] = start
+        for t in range(steps):
+            positions[t + 1] = _reflect(positions[t] + moves[t], cfg.cell_side)
+        fap_position = self.fap.position.copy()
+        gains = channel_gains(positions.reshape(-1, 2), fap_position,
+                              cfg.path_loss_alpha)
+        return (bits, cycles, fap_position, positions,
+                gains.reshape(steps + 1, m))
+
+    def _slot(self, t: int) -> SlotState:
+        """Slot t of the trace; the FAP's MDs move to their positions."""
+        bits, cycles, fap_position, positions, gains = self._trace
+        self.fap.md_positions = positions[t]
+        return SlotState(bits[t], cycles[t], fap_position, positions[t],
+                         gains[t])
 
 
 def _reflect(pos: np.ndarray, side: float) -> np.ndarray:

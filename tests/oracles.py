@@ -3,13 +3,19 @@
 Everything here is deliberately written straight-line with scalar math (no
 numpy vector tricks, no imports from the package's cost code paths beyond the
 plain data containers), so that agreement with the package is evidence rather
-than tautology.
+than tautology. The one exception is ReferenceCell, which keeps the cell's
+earlier per-slot draws and charges its slots through the package's slot_cost.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from fedfog.env import (EpisodeOverError, FogAccessPoint, SlotState, _reflect,
+                        channel_gains, md_energy_coeff, slot_cost)
 
 
 def straight_line_slot_cost(state, action, fap, config) -> float:
@@ -211,8 +217,6 @@ def nearest_grid_point(shares, step: float):
 
 def central_difference(func, x, h: float = 1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
@@ -235,3 +239,85 @@ def count_params(sizes) -> int:
         total += sizes[i] * sizes[i + 1]   # weights
         total += sizes[i + 1]              # biases
     return total
+
+
+class ReferenceCell:
+    """The cell's episode mechanics as they were before episodes drew their
+    trace at reset(): each slot draws its tasks when it opens and each move
+    draws its step lengths and headings when the slot closes, from the one
+    stream of the instance seed. Costs go through the package's slot_cost.
+    """
+
+    def __init__(self, config, seed):
+        self.config = config
+        self._rng = np.random.default_rng(seed)
+        self.fap = FogAccessPoint(
+            position=np.array([config.cell_side / 2.0, config.cell_side / 2.0]),
+            cpu_freq=config.fap_cpu,
+            bandwidth=config.bandwidth,
+            md_positions=np.empty((0, 2)), md_cpu_freq=np.empty(0),
+            md_tx_power=np.empty(0), md_energy_coeff=np.empty(0),
+        )
+        self.state = None
+        self.last_cost = None
+        self.t = 0
+        self._sums = (0.0, 0.0, 0.0, 0.0)
+
+    def reset(self, seed=None):
+        if seed is not None:
+            self._rng = np.random.default_rng(seed)
+        cfg = self.config
+        m = cfg.mds_per_fap
+        fap = self.fap
+        fap.md_positions = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
+        fap.md_cpu_freq = self._rng.uniform(*cfg.md_cpu_range, size=m)
+        fap.md_tx_power = self._rng.uniform(*cfg.md_power_range, size=m)
+        fap.md_energy_coeff = md_energy_coeff(fap.md_cpu_freq)
+        self.t = 0
+        self.last_cost = None
+        self._sums = (0.0, 0.0, 0.0, 0.0)
+        self.state = self._observe()
+        return self.state
+
+    def step(self, action):
+        if self.state is None:
+            raise EpisodeOverError("reset() must be called before step()")
+        if self.t >= self.config.steps_per_episode:
+            raise EpisodeOverError(
+                f"episode is over after {self.config.steps_per_episode} steps")
+        breakdown = slot_cost(self.state, action, self.fap, self.config)
+        self.last_cost = breakdown
+        reward = -breakdown.cost / self.config.mds_per_fap
+        r, c, d, e = self._sums
+        self._sums = (r + reward, c + breakdown.cost,
+                      d + breakdown.total_delay, e + breakdown.total_energy)
+        self._move_devices()
+        self.t += 1
+        self.state = self._observe()
+        return reward, self.state
+
+    def episode_metrics(self):
+        reward, cost, delay, energy = self._sums
+        return reward, cost / self.t, delay / self.t, energy / self.t
+
+    def _observe(self):
+        """Draw fresh tasks and snapshot positions/gains for the new slot."""
+        cfg = self.config
+        m = cfg.mds_per_fap
+        bits = self._rng.uniform(*cfg.task_bits_range, size=m)
+        cpb = self._rng.uniform(*cfg.cycles_per_bit_range, size=m)
+        fap = self.fap
+        gains = channel_gains(fap.md_positions, fap.position,
+                              cfg.path_loss_alpha)
+        return SlotState(bits, bits * cpb, fap.position.copy(),
+                         fap.md_positions.copy(), gains)
+
+    def _move_devices(self):
+        """Bounded random walk, reflected at the cell walls."""
+        cfg = self.config
+        m = cfg.mds_per_fap
+        step_len = self._rng.uniform(0.0, cfg.max_move_per_slot, size=m)
+        angle = self._rng.uniform(0.0, 2.0 * np.pi, size=m)
+        heading = np.stack((np.cos(angle), np.sin(angle)), axis=1)
+        self.fap.md_positions = _reflect(
+            self.fap.md_positions + step_len[:, None] * heading, cfg.cell_side)

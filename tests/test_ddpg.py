@@ -397,6 +397,20 @@ class TestTrainingLoop:
         assert rep2.updates == 37
         assert len(agent.buffer) == 100
 
+    def test_each_state_flattened_once(self, monkeypatch):
+        cfg = self.env_cfg(steps_per_episode=6)
+        env = FogCellEnv(cfg, seed=2)
+        calls = []
+        monkeypatch.setattr(env, "flatten_state",
+                            lambda s: calls.append(s) or flatten_state(s, cfg))
+        agent = DdpgAgent(cfg.mds_per_fap, tiny_hp(), seed=2)
+        agent.train_episode(env)
+        assert len(calls) == cfg.steps_per_episode + 1
+        buf = agent.buffer
+        np.testing.assert_array_equal(buf.states[1:6], buf.next_states[:5])
+        np.testing.assert_array_equal(buf.next_states[5],
+                                      flatten_state(env.state, cfg))
+
     def test_update_step_returns_none_when_cold(self):
         agent = make_agent(num_mds=1)
         assert agent.update_step() is None

@@ -12,7 +12,7 @@ from fedfog.env import (D_MIN, ActionConstraintError, ActionVector, EnvConfig,
                         SlotState, channel_gains, flatten_state,
                         md_energy_coeff, md_rotations, sanitize_action,
                         slot_cost, spectral_efficiency)
-from oracles import straight_line_slot_cost
+from oracles import ReferenceCell, straight_line_slot_cost
 
 
 def make_fap(positions, cpus, powers, cpu=5e9, bandwidth=1e7):
@@ -488,3 +488,99 @@ class TestLibmPath:
         want = [math.log2(1 + p * g / 1e-13)
                 for p, g in zip(power.tolist(), gains.tolist())]
         assert got.tolist() == want
+
+
+def bits_of(value):
+    """Comparable bit image of an array, a float, a tuple or an object's
+    attributes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(bits_of(v) for v in value)
+    return bits_of(tuple(vars(value).values()))
+
+
+def play(cell, rng, slots):
+    """Play `slots` slots of random sanitized actions; the bit images of
+    every state, reward and cost along the way."""
+    m = cell.config.mds_per_fap
+    seen = [bits_of(cell.state)]
+    for _ in range(slots):
+        reward, state = cell.step(sanitize_action(rng.uniform(0, 1, 3 * m)))
+        seen += [bits_of(float(reward)), bits_of(cell.last_cost),
+                 bits_of(state)]
+    return seen
+
+
+class TestEpisodeTrace:
+    """reset() draws the episode's whole exogenous input; whole episodes
+    equal those of the per-slot draws it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("steps", [1, 7, 50])
+    @pytest.mark.parametrize("m", [1, 3, 5, 12])
+    def test_whole_episodes_match_per_slot_draws(self, m, steps, seed):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=m, steps_per_episode=steps)
+        cells = FogCellEnv(cfg, seed=seed), ReferenceCell(cfg, seed=seed)
+        runs = []
+        for cell in cells:
+            rng = np.random.default_rng(seed + 1)
+            seen = []
+            # the stream runs on across resets, and a seed restarts it
+            for reseed in (None, None, seed + 100, None):
+                cell.reset(seed=reseed)
+                seen += [bits_of(cell.fap)] + play(cell, rng, steps)
+                seen += [bits_of(cell.fap), bits_of(cell.episode_metrics())]
+            runs.append(seen)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("played", [0, 1, 3, 7])
+    def test_next_episode_ignores_slots_played_before(self, played):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=7)
+        runs = []
+        for slots in (played, cfg.steps_per_episode):
+            env = FogCellEnv(cfg, seed=5)
+            env.reset()
+            play(env, np.random.default_rng(1), slots)
+            env.reset()
+            runs.append([bits_of(env.fap)]
+                        + play(env, np.random.default_rng(2), 7))
+        assert runs[0] == runs[1]
+
+    def test_equal_seeds_reproduce_an_episode(self):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=4, steps_per_episode=9)
+        fresh = FogCellEnv(cfg, seed=3)
+        used = FogCellEnv(cfg, seed=8)
+        used.reset()
+        play(used, np.random.default_rng(0), 4)
+        runs = []
+        for env in (fresh, used):
+            env.reset(seed=11)
+            runs.append([bits_of(env.fap)]
+                        + play(env, np.random.default_rng(6), 9))
+        assert runs[0] == runs[1]
+
+    def test_held_state_is_not_changed_by_later_steps(self):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=6)
+        env = FogCellEnv(cfg, seed=4)
+        held = [env.reset()]
+        images = [bits_of(held[0])]
+        rng = np.random.default_rng(4)
+        for _ in range(cfg.steps_per_episode):
+            held.append(env.step(sanitize_action(rng.uniform(0, 1, 9)))[1])
+            images.append(bits_of(held[-1]))
+        env.reset()
+        env.step(sanitize_action(rng.uniform(0, 1, 9)))
+        assert [bits_of(s) for s in held] == images
+
+    def test_metrics_need_a_played_slot(self):
+        env = FogCellEnv(EnvConfig(steps_per_episode=3), seed=0)
+        with pytest.raises(RuntimeError, match="no slot has been played"):
+            env.episode_metrics()
+        env.reset()
+        with pytest.raises(RuntimeError, match="no slot has been played"):
+            env.episode_metrics()
+        env.step(sanitize_action(np.ones(9)))
+        assert env.episode_metrics()[1] == env.last_cost.cost

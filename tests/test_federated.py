@@ -333,6 +333,10 @@ class TestConcurrentRounds:
         for env, ref in zip(envs, ref_envs):
             assert env.t == ref.t > 0
             assert snapshot(env) == snapshot(ref)
+            # the episode's trace, drawn at reset(), comes back with the env
+            assert snapshot(env._trace) == snapshot(ref._trace)
+            np.testing.assert_array_equal(env.state.task_bits,
+                                          env._trace[0][env.t])
         no_child_left(forks)
 
     def test_one_cpu_gives_same_results_on_one_thread(self, forks,
