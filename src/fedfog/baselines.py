@@ -11,16 +11,12 @@ offload sets and applying that closed form to the compute and bandwidth
 groups therefore solves the joint slot problem exactly; at small M this is
 the ground truth every policy can be measured against.
 
-The enumeration is array algebra over subset_matrix(M), the cached (M, 2^M)
-0/1 matrix B whose column `mask` marks the MDs `mask` offloads: each subset
-costs sum(l[~B]) + (sum(sqrt(a_c)[B])**2 + sum(sqrt(a_b)[B])**2), every sum
-over the MDs in index order, and np.argmin keeps the lowest of equal masks,
-as a scalar loop over the subsets would.
+subset_costs scores all masks at once, each subset sum adding its MDs in
+index order, and np.argmin keeps the lowest of equal masks, as a scalar
+loop over the subsets would.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -54,22 +50,22 @@ def closed_form_allocation(weights) -> np.ndarray:
     return root / root.sum()
 
 
-@functools.cache
-def subset_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (M, 2^M) 0/1 matrix whose column `mask` holds bit i of `mask` in
-    row i, and its complement; built once per M and read-only."""
-    members = ((np.arange(1 << m) >> np.arange(m)[:, None]) & 1).astype(float)
-    others = 1.0 - members
-    members.flags.writeable = False
-    others.flags.writeable = False
-    return members, others
+def subset_costs(local, a_compute, a_bandwidth) -> np.ndarray:
+    """Slot cost of every offload subset under the closed-form share split,
+    from _allocation_weights; entry `mask` offloads the MDs whose bits
+    `mask` sets.
 
-
-def _subset_sums(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_i matrix[i, mask] * values[i] for every mask, adding the rows in
-    index order (a matrix product leaves the order to BLAS, and subsets of
-    equal cost could then differ in the last bit)."""
-    return (matrix * values[:, None]).sum(axis=0)
+    The subset sums are built by doubling: mask 2^i + r extends mask
+    r < 2^i by MD i, so every sum adds its MDs in index order (a matrix
+    product would leave the order to BLAS and could move ties in the last
+    bit). A mask's local term sums over its complement 2^M - 1 - mask, so it
+    reads the member sums of the local costs reversed.
+    """
+    values = np.array((local, np.sqrt(a_compute), np.sqrt(a_bandwidth)))
+    sums = np.zeros((3, 1 << len(local)))
+    for i, v in enumerate(values.T[:, :, None]):
+        np.add(sums[:, :1 << i], v, out=sums[:, 1 << i:2 << i])
+    return sums[0, ::-1] + (sums[1] ** 2 + sums[2] ** 2)
 
 
 def _allocation_weights(state: SlotState, fap: FogAccessPoint,
@@ -105,14 +101,10 @@ def oracle_slot_optimum(state: SlotState, fap: FogAccessPoint,
         raise ValueError(f"oracle enumerates 2^M subsets; M={m} exceeds "
                          f"the budget of {ORACLE_MAX_MDS}")
     local, a_compute, a_bandwidth = _allocation_weights(state, fap, config)
-    members, others = subset_matrix(m)
-    costs = (_subset_sums(others, local)
-             + (_subset_sums(members, np.sqrt(a_compute)) ** 2
-                + _subset_sums(members, np.sqrt(a_bandwidth)) ** 2))
+    costs = subset_costs(local, a_compute, a_bandwidth)
     best = int(np.argmin(costs))
-    offload = members[:, best].astype(int)
-    y = np.zeros(m)
-    z = np.zeros(m)
+    offload = (best >> np.arange(m)) & 1
+    y, z = np.zeros(m), np.zeros(m)
     chosen = offload == 1
     y[chosen] = closed_form_allocation(a_compute[chosen])
     z[chosen] = closed_form_allocation(a_bandwidth[chosen])

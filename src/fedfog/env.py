@@ -49,8 +49,10 @@ D_MIN = 1.0
 # undefined; sanitize_action floors shares here before costs are evaluated.
 EPS_ALLOC = 1e-3
 
-# Slack for floating-point sums when checking the share-budget constraints.
+# Slack for floating-point sums when checking the share-budget constraints,
+# and the smallest share an offloaded MD passes validation with.
 _SUM_TOL = 1e-9
+_FLOOR = EPS_ALLOC - 1e-15
 
 
 class ActionConstraintError(ValueError):
@@ -172,34 +174,32 @@ class ActionVector:
     def validate(self) -> None:
         """Raise ActionConstraintError naming the first violated constraint.
 
-        Both share groups are checked at once as one (2, M) array; the
-        constraint is named only once some check has failed.
+        The checks run on the Python floats of tolist(), cheaper at cell
+        sizes than numpy calls; the constraint is named once one has failed.
         """
-        m = len(self.offload)
-        if len(self.compute_share) != m or len(self.bandwidth_share) != m:
+        offload = self.offload.tolist()
+        y, z = self.compute_share.tolist(), self.bandwidth_share.tolist()
+        if len(y) != len(offload) or len(z) != len(offload):
             raise ActionConstraintError("length mismatch",
                                         "offload/compute/bandwidth differ")
-        offloaded = self.offload == 1
-        shares = np.concatenate((self.compute_share, self.bandwidth_share))
-        shares = shares.reshape(2, m)
-        if (not (offloaded | (self.offload == 0)).all()
-                or shares.min() < 0 or shares.max() > 1
-                or shares.sum(axis=1).max() > 1.0 + _SUM_TOL
-                or (offloaded & (shares < EPS_ALLOC - 1e-15)).any()):
-            self._name_violation()
+        if not (sum(y) <= 1.0 + _SUM_TOL and sum(z) <= 1.0 + _SUM_TOL
+                and min(y + z) >= 0.0 and max(y + z) <= 1.0
+                and all(x == 0 or (x == 1 and a >= _FLOOR and b >= _FLOOR)
+                        for x, a, b in zip(offload, y, z))):
+            self._name_violation(offload, (y, z))
 
-    def _name_violation(self) -> None:
-        if not np.all((self.offload == 0) | (self.offload == 1)):
+    def _name_violation(self, offload, shares) -> None:
+        if not all(x in (0, 1) for x in offload):
             raise ActionConstraintError("offload not binary")
-        for name, share in (("compute_share", self.compute_share),
-                            ("bandwidth_share", self.bandwidth_share)):
-            if np.any(share < 0) or np.any(share > 1):
+        for name, share in zip(("compute_share", "bandwidth_share"), shares):
+            if not all(map(math.isfinite, share)):
+                raise ActionConstraintError(f"{name} not finite")
+            if min(share) < 0 or max(share) > 1:
                 raise ActionConstraintError(f"{name} outside [0, 1]")
-            total = float(share.sum())
-            if total > 1.0 + _SUM_TOL:
-                raise ActionConstraintError(f"sum({name}) > 1", f"sum={total!r}")
-            floor_ok = share[self.offload == 1] >= EPS_ALLOC - 1e-15
-            if not np.all(floor_ok):
+            if sum(share) > 1.0 + _SUM_TOL:
+                raise ActionConstraintError(f"sum({name}) > 1",
+                                            f"sum={sum(share)!r}")
+            if any(x == 1 and s < _FLOOR for x, s in zip(offload, share)):
                 raise ActionConstraintError(
                     f"{name} below minimum share for an offloaded MD",
                     f"floor={EPS_ALLOC}")
@@ -223,13 +223,14 @@ def channel_gains(md_positions: np.ndarray, fap_position: np.ndarray,
                   alpha: float) -> np.ndarray:
     """Power-law gains max(dist, D_MIN)**-alpha of every MD to its FAP.
 
-    The distances come from one np.hypot over the cell; the power runs per
-    MD on Python floats, because numpy's SIMD power does not round like
-    libm's pow on every argument and the trajectories are pinned to libm.
+    The clamped distances come from one np.hypot and np.maximum over the
+    cell; the power runs per MD on Python floats, because numpy's SIMD power
+    does not round like libm's pow on every argument and the trajectories
+    are pinned to libm.
     """
-    dist = np.hypot(md_positions[:, 0] - fap_position[0],
-                    md_positions[:, 1] - fap_position[1])
-    return np.array([max(d, D_MIN) ** (-alpha) for d in dist.tolist()])
+    dist = np.maximum(np.hypot(md_positions[:, 0] - fap_position[0],
+                               md_positions[:, 1] - fap_position[1]), D_MIN)
+    return np.array([d ** -alpha for d in dist.tolist()])
 
 
 def spectral_efficiency(tx_power: np.ndarray, gains: np.ndarray,
@@ -301,6 +302,8 @@ def sanitize_action(raw: np.ndarray) -> ActionVector:
     if raw.ndim != 1 or raw.size % 3 != 0 or raw.size == 0:
         raise ValueError(f"raw action must be a 1-D vector of 3M values, "
                          f"got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"raw action must be finite, got {raw.tolist()}")
     m = raw.size // 3
     offload = (raw[:m] > 0.5).astype(int)
     mask = offload == 1
@@ -468,7 +471,8 @@ class FogCellEnv:
         of the move that opens it, then its task bits and cycles per bit;
         slot 0 opens without a move. Each is scaled as lo + (hi - lo) * u,
         as Generator.uniform scales the same draws. The moves form a
-        bounded random walk, reflected at the cell walls slot by slot.
+        bounded random walk, reflected at the cell walls: each position is
+        the reflection of the last one plus its move.
         """
         cfg = self.config
         steps, m = cfg.steps_per_episode, cfg.mds_per_fap
@@ -481,11 +485,15 @@ class FogCellEnv:
         step_len = cfg.max_move_per_slot * u[1:, 0]
         angle = 2.0 * np.pi * u[1:, 1]
         heading = np.stack((np.cos(angle), np.sin(angle)), axis=2)
-        moves = step_len[:, :, None] * heading
-        positions = np.empty((steps + 1, m, 2))
-        positions[0] = start
-        for t in range(steps):
-            positions[t + 1] = _reflect(positions[t] + moves[t], cfg.cell_side)
+        moves = np.concatenate((start[None], step_len[:, :, None] * heading))
+        # Reflection is the identity inside the cell, so the walk is a
+        # running sum that restarts, reflected, at each row leaving the cell.
+        positions = np.cumsum(moves, axis=0)
+        while (out := ((positions < 0.0) | (positions > cfg.cell_side))
+               .any(axis=(1, 2))).any():
+            row = int(out.argmax())
+            moves[row] = _reflect(positions[row], cfg.cell_side)
+            np.cumsum(moves[row:], axis=0, out=positions[row:])
         fap_position = self.fap.position.copy()
         gains = channel_gains(positions.reshape(-1, 2), fap_position,
                               cfg.path_loss_alpha)

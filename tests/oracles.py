@@ -119,19 +119,7 @@ def enumerate_slot_optimum(state, fap, config):
     on a tie the lowest mask wins.
     """
     m = len(state.task_bits)
-    wd = float(config.weight_delay)
-    we = float(config.weight_energy)
-    local, a_compute, a_bandwidth = [], [], []
-    for i in range(m):
-        bits = float(state.task_bits[i])
-        cycles = float(state.task_cycles[i])
-        md_power = float(fap.md_tx_power[i])
-        local.append(wd * (cycles / float(fap.md_cpu_freq[i]))
-                     + we * (float(fap.md_energy_coeff[i]) * cycles))
-        a_compute.append(wd * cycles / float(fap.cpu_freq))
-        snr = md_power * float(state.channel_gains[i]) / float(config.noise_power)
-        full_rate = float(fap.bandwidth) * math.log2(1.0 + snr)
-        a_bandwidth.append((wd + we * md_power) * bits / full_rate)
+    local, a_compute, a_bandwidth = _scalar_weights(state, fap, config)
     best_cost = math.inf
     best_mask = 0
     for mask in range(1 << m):
@@ -150,6 +138,48 @@ def enumerate_slot_optimum(state, fap, config):
             best_mask = mask
     offload = [(best_mask >> i) & 1 for i in range(m)]
     return offload, best_cost, a_compute, a_bandwidth
+
+
+def _scalar_weights(state, fap, config):
+    """Local costs and compute and bandwidth weights of the MDs, one MD at
+    a time from the state's gains, in the package's operation order."""
+    wd = float(config.weight_delay)
+    we = float(config.weight_energy)
+    local, a_compute, a_bandwidth = [], [], []
+    for i in range(len(state.task_bits)):
+        bits = float(state.task_bits[i])
+        cycles = float(state.task_cycles[i])
+        md_power = float(fap.md_tx_power[i])
+        local.append(wd * (cycles / float(fap.md_cpu_freq[i]))
+                     + we * (float(fap.md_energy_coeff[i]) * cycles))
+        a_compute.append(wd * cycles / float(fap.cpu_freq))
+        snr = md_power * float(state.channel_gains[i]) / float(config.noise_power)
+        full_rate = float(fap.bandwidth) * math.log2(1.0 + snr)
+        a_bandwidth.append((wd + we * md_power) * bits / full_rate)
+    return local, a_compute, a_bandwidth
+
+
+def enumerate_subset_costs(state, fap, config):
+    """Cost of every offload subset, entry `mask` offloading the MDs whose
+    bits `mask` sets, scored one subset at a time: each sum adds its MDs in
+    index order from 0.0, squares are products, and the two share terms
+    are added together before the local term is added to them."""
+    m = len(state.task_bits)
+    local, a_compute, a_bandwidth = _scalar_weights(state, fap, config)
+    costs = []
+    for mask in range(1 << m):
+        kept = 0.0
+        sq_compute = 0.0
+        sq_bandwidth = 0.0
+        for i in range(m):
+            if mask >> i & 1:
+                sq_compute += math.sqrt(a_compute[i])
+                sq_bandwidth += math.sqrt(a_bandwidth[i])
+            else:
+                kept += local[i]
+        costs.append(kept + (sq_compute * sq_compute
+                             + sq_bandwidth * sq_bandwidth))
+    return costs
 
 
 def grid_slot_optimum(state, fap, config, step: float):

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fedfog.baselines import (ORACLE_MAX_MDS, closed_form_allocation,
-                              equal_policy, local_policy, oracle_policy,
-                              oracle_slot_optimum)
+from fedfog.baselines import (ORACLE_MAX_MDS, _allocation_weights,
+                              closed_form_allocation, equal_policy,
+                              local_policy, oracle_policy,
+                              oracle_slot_optimum, subset_costs)
 from fedfog.env import (EnvConfig, FogAccessPoint, FogCellEnv, SlotState,
                         md_energy_coeff, slot_cost)
-from oracles import (enumerate_slot_optimum, grid_min_weighted_inverse,
+from oracles import (enumerate_slot_optimum, enumerate_subset_costs,
+                     grid_min_weighted_inverse,
                      grid_slot_optimum, grid_slot_optimum_joint,
                      nearest_grid_point, simplex_grid)
 
@@ -214,6 +216,18 @@ class TestOracleSlotOptimum:
                         want[chosen] = closed_form_allocation(
                             np.array(weights)[chosen])
                     np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", range(1, ORACLE_MAX_MDS + 1))
+    def test_every_subset_cost_matches_scalar_enumeration(self, m):
+        cfg = EnvConfig()
+        rng = np.random.default_rng(100 + m)
+        for _ in range(6 if m < 10 else 2):
+            state, fap = build_cell(rng, m, cfg)
+            costs = subset_costs(*_allocation_weights(state, fap, cfg))
+            want = enumerate_subset_costs(state, fap, cfg)
+            assert [c.hex() for c in costs.tolist()] == [c.hex() for c in want]
+            _, best = oracle_slot_optimum(state, fap, cfg)
+            assert best == min(want)
 
     @pytest.mark.parametrize("m, k", [(3, 1), (3, 2), (9, 3), (12, 5)])
     def test_ties_go_to_lowest_mask(self, m, k):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedfog.env as env_module
 from fedfog.env import (D_MIN, ActionConstraintError, ActionVector, EnvConfig,
                         EpisodeOverError, FogAccessPoint, FogCellEnv,
-                        SlotState, channel_gains, flatten_state,
+                        SlotState, _reflect, channel_gains, flatten_state,
                         md_energy_coeff, md_rotations, sanitize_action,
                         slot_cost, spectral_efficiency)
 from oracles import ReferenceCell, straight_line_slot_cost
@@ -265,6 +266,18 @@ class TestSlotCost:
             bad.validate()
         assert err.value.constraint == constraint
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("md", [0, 1])
+    @pytest.mark.parametrize("name", ["compute_share", "bandwidth_share"])
+    def test_validate_rejects_non_finite_share(self, name, md, value):
+        shares = {"compute_share": np.array([0.5, 0.0, 0.5]),
+                  "bandwidth_share": np.array([0.5, 0.0, 0.5])}
+        shares[name][md] = value
+        bad = ActionVector(np.array([1, 0, 1]), **shares)
+        with pytest.raises(ActionConstraintError) as err:
+            bad.validate()
+        assert err.value.constraint == f"{name} not finite"
+
     def test_agrees_with_straight_line_recompute(self):
         rng = np.random.default_rng(5)
         for trial in range(100):
@@ -305,6 +318,14 @@ class TestSanitize:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="3M"):
             sanitize_action(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_non_finite_raw_rejected(self, at, value):
+        raw = np.full(6, 0.7)
+        raw[at] = value
+        with pytest.raises(ValueError, match="finite"):
+            sanitize_action(raw)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3,
                     max_size=18).filter(lambda v: len(v) % 3 == 0))
@@ -514,6 +535,22 @@ def play(cell, rng, slots):
     return seen
 
 
+class StartOn:
+    """A Generator that hands out `start` for every draw of MD start
+    positions (an (M, 2) uniform draw), after drawing it from the stream."""
+
+    def __init__(self, rng, start):
+        self._rng = rng
+        self._start = start
+
+    def uniform(self, low, high, size):
+        out = self._rng.uniform(low, high, size=size)
+        return self._start.copy() if size == self._start.shape else out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestEpisodeTrace:
     """reset() draws the episode's whole exogenous input; whole episodes
     equal those of the per-slot draws it replaced, bit for bit."""
@@ -535,6 +572,35 @@ class TestEpisodeTrace:
                 seen += [bits_of(cell.fap), bits_of(cell.episode_metrics())]
             runs.append(seen)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_walls_hit_often_match_per_slot_draws(self, m, monkeypatch):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=m, cell_side=20.0,
+                        max_move_per_slot=15.0, steps_per_episode=50)
+        walls = np.array([[0.0, 20.0], [20.0, 0.0], [0.0, 0.0], [20.0, 20.0],
+                          [20.0, 7.5]])[:m]
+        reflected = []
+
+        def reflect(pos, side):
+            reflected.append(pos.copy())
+            return _reflect(pos, side)
+
+        monkeypatch.setattr(env_module, "_reflect", reflect)
+        runs = []
+        for cell in FogCellEnv(cfg, seed=3), ReferenceCell(cfg, seed=3):
+            cell._rng = StartOn(cell._rng, walls)
+            rng = np.random.default_rng(4)
+            seen = []
+            for _ in range(3):
+                cell.reset()
+                np.testing.assert_array_equal(cell.state.md_positions, walls)
+                seen += [bits_of(cell.fap)] + play(cell, rng, 50)
+                seen += [bits_of(cell.fap), bits_of(cell.episode_metrics())]
+            runs.append(seen)
+        assert runs[0] == runs[1]
+        # each call restarts the running sum at a row that left the cell
+        assert len(reflected) >= 3
+        assert all(((p < 0.0) | (p > 20.0)).any() for p in reflected)
 
     @pytest.mark.parametrize("played", [0, 1, 3, 7])
     def test_next_episode_ignores_slots_played_before(self, played):
