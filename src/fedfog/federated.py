@@ -9,20 +9,20 @@ optimizer moments and replay buffers (averaging moments across agents has no
 sound interpretation, and clearing replay every round would throw away nearly
 all experience).
 
-Local training runs concurrently, in up to one child process per usable
-CPU, forked for each round; processes, unlike threads, do not queue on the
-interpreter lock. Every array an agent keeps across steps (its online and
-target stores, Adam moments and replay ring) lives in anonymous shared
-memory, so the children update the parent's agents in place. Each child
-sends back, per agent, the metric rows and the rest of the agent's and its
-env's state (RNG states, counters, exploration level, replay cursor), so
-after the round the parent's objects are exactly as serial training would
-have left them. Each agent's float operations and random draws are the
-same in whichever process it trains, so results do not depend on the CPU
-count. They do depend on the BLAS thread count, as any float order does,
-and children are forked only where BLAS runs on one thread: a forked child
-restarts a multi-threaded BLAS's spinning threads, which costs more than
-the children save.
+Local training runs concurrently through fork_map, in up to one child
+process per usable CPU, forked for each round; processes, unlike threads,
+do not queue on the interpreter lock. Every array an agent keeps across
+steps (its online and target stores, Adam moments and replay ring) lives in
+anonymous shared memory, so the children update the parent's agents in
+place. Each child sends back, per agent, the metric rows and the rest of
+the agent's and its env's state (RNG states, counters, exploration level,
+replay cursor), so after the round the parent's objects are exactly as
+serial training would have left them. Each agent's float operations and
+random draws are the same in whichever process it trains, so results do
+not depend on the CPU count. They do depend on the BLAS thread count, as
+any float order does, and children are forked only where BLAS runs on one
+thread: a forked child restarts a multi-threaded BLAS's spinning threads,
+which costs more than the children save.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import os
 import pickle
 import signal
 import struct
+import tempfile
 import traceback
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ from .ddpg import DdpgAgent, DdpgHyperParams
 from .dqn import DqnAgent, DqnHyperParams
 from .env import EnvConfig, FogCellEnv, rollout_episode
 from .nn import (FlatWeights, from_shared_ref, load_checkpoint,
-                 save_checkpoint, shared_ref)
+                 save_checkpoint, shared_arrays, shared_ref)
 
 AGENT_KINDS = ("ddpg", "dqn")
 
@@ -180,37 +181,32 @@ def _blas_threads() -> int | None:
     return None if get is None else int(get())
 
 
+# In a child of fork_map: its share of the parent's CPUs, which worker_count
+# reads in place of the usable CPUs. Only a child sets it, once, after fork.
+_cpu_share: int | None = None
+
+
 def worker_count(n_jobs: int) -> int:
     """Processes that `n_jobs` independent jobs run on: one per job, up to
-    the usable CPUs, where the process can fork and BLAS reports exactly one
-    thread; otherwise 1, which runs them in this process. The one rule for
-    a round's agents and for an experiment's (kind, seed) cells."""
+    this process's CPUs (its share of them, in a child of fork_map), where
+    the process can fork and BLAS reports exactly one thread; otherwise 1,
+    which runs them in this process. The one rule for every fork_map."""
     if not hasattr(os, "fork") or _blas_threads() != 1:
         return 1
-    return min(n_jobs, _usable_cpus())
+    return min(n_jobs, _cpu_share or _usable_cpus())
 
 
 class ClientProcessError(RuntimeError):
-    """An agent's training process failed: its exception could not be sent
-    back, or the process died. Also the cause attached to an exception that
-    was sent back, holding the child's traceback."""
+    """A job's process died or raised what could not be sent back; also the
+    cause, holding the child's traceback, of an exception that was."""
 
 
-class _SharedPickler(pickle.Pickler):
-    """Pickles arrays in shared memory, and their views, by reference."""
-
-    def persistent_id(self, obj):
-        return shared_ref(obj)
-
-
-class _SharedUnpickler(pickle.Unpickler):
-    def persistent_load(self, pid):
-        return from_shared_ref(pid)
-
-
-def _frame(obj) -> bytes:
+def _frame(obj, mapped: dict) -> bytes:
+    """`obj` pickled behind its length; arrays in `mapped` go by reference."""
     buf = io.BytesIO()
-    _SharedPickler(buf, pickle.HIGHEST_PROTOCOL).dump(obj)
+    pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = functools.partial(shared_ref, mapped=mapped)
+    pickler.dump(obj)
     return struct.pack("<Q", buf.tell()) + buf.getvalue()
 
 
@@ -222,26 +218,18 @@ def _frames(blob: bytes):
         at += 8
         if at + size > len(blob):
             return
-        yield _SharedUnpickler(io.BytesIO(blob[at:at + size])).load()
+        unpickler = pickle.Unpickler(io.BytesIO(blob[at:at + size]))
+        unpickler.persistent_load = from_shared_ref
+        yield unpickler.load()
         at += size
 
 
-def _train_locally(agent, env, episodes: int) -> list[tuple]:
-    rows = []
-    for _ in range(episodes):
-        agent.train_episode(env)
-        rows.append(env.episode_metrics())
-    return rows
-
-
-def _train_share(agents, envs, episodes: int, share, out) -> None:
-    """Child side: train the agents in `share` in order, writing one frame
-    per agent to `out`. A failing agent's frame carries its exception, and
-    no later agent trains."""
-    for i in share:
+def _run_jobs(fn, jobs, mapped: dict, out) -> None:
+    """Child side: run `jobs` in order, writing one frame per job to `out`.
+    A failing job's frame carries its exception, and no later job runs."""
+    for i in jobs:
         try:
-            rows = _train_locally(agents[i], envs[i], episodes)
-            frame = _frame(("ok", i, rows, vars(agents[i]), vars(envs[i])))
+            frame = _frame(("ok", i, fn(i)), mapped)
         except Exception as exc:       # noqa: BLE001 - sent to the parent
             text = "".join(traceback.format_exception(
                 type(exc), exc, exc.__traceback__))
@@ -250,7 +238,7 @@ def _train_share(agents, envs, episodes: int, share, out) -> None:
                 pickle.loads(sent)
             except Exception:          # noqa: BLE001 - reported as text
                 sent = None
-            out.write(_frame(("error", i, text, sent)))
+            out.write(_frame(("error", i, text, sent), mapped))
             return
         out.write(frame)
 
@@ -262,98 +250,113 @@ def _exit_reason(status: int) -> str:
     return f"exited with status {code}"
 
 
-def _sent_error(i: int, text: str, sent: bytes | None) -> Exception:
-    """The exception agent `i` raised in a child, with the child's
-    traceback `text` as its cause, or a ClientProcessError if it could not
-    be sent back."""
+def _sent_error(name: str, i: int, text: str, sent: bytes | None) -> Exception:
+    """The exception job `i` raised in a child, caused by a ClientProcessError
+    holding the child's traceback `text`; that error alone if not sent."""
     if sent is None:
-        return ClientProcessError(f"agent {i} failed in its training process "
+        return ClientProcessError(f"{name} {i} failed in its training process "
                                   f"with an exception that could not be sent "
                                   f"back:\n{text}")
     exc = pickle.loads(sent)
     exc.__cause__ = ClientProcessError(
-        f"agent {i} failed in its training process:\n{text}")
+        f"{name} {i} failed in its training process:\n{text}")
     return exc
 
 
-def _train_forked(agents, envs, episodes: int, workers: int) -> list[tuple]:
-    """Train agent i in child i % `workers`, forked for this call, and
-    return the metric rows in agent order.
+def fork_map(fn, n_jobs: int, name: str = "job") -> list:
+    """[fn(0), ..., fn(n_jobs - 1)]. Job i runs in child i % workers, forked
+    for the call, where workers = worker_count(n_jobs); with one worker, or
+    none, the jobs run in order in this process.
 
-    The parent reaps every child before it returns or raises. Each agent
-    that finished takes on the state its child sent back, and the first
-    failing agent, in agent order, raises.
+    A child holds this process's CPUs // workers (at least 1), and
+    worker_count reads that share inside it, so a nested map forks only
+    onto CPUs left free. Results are pickled back, but arrays in shared
+    memory mapped before the fork come back as views of the same memory.
+    Every child is reaped before the call returns or raises. The first
+    failing job, in job order, raises: its exception, caused by a
+    ClientProcessError holding the child's traceback, or a
+    ClientProcessError naming `name` and the job, where that exception
+    could not be sent back or the child died.
     """
-    children = {}       # pid -> (read end of its pipe, agent indices)
-    rows, failures = {}, {}
+    global _cpu_share
+    workers = worker_count(n_jobs)
+    if workers < 2:
+        return [fn(i) for i in range(n_jobs)]
+    share = max(1, (_cpu_share or _usable_cpus()) // workers)
+    mapped = shared_arrays()
+    children = {}       # pid -> (the file it writes its frames to, its jobs)
+    results, failures = {}, {}
     try:
         for k in range(workers):
-            share = range(k, len(agents), workers)
-            read_fd, write_fd = os.pipe()
-            reader, writer = open(read_fd, "rb"), open(write_fd, "wb")
+            jobs = range(k, n_jobs, workers)
+            # a file, not a pipe: a child whose frames outgrow a pipe buffer
+            # must not wait while the parent reaps its earlier siblings
+            out = tempfile.TemporaryFile()
             pid = os.fork()
             if pid == 0:
-                status = 1
+                _cpu_share = share
                 try:
-                    reader.close()
-                    with writer:
-                        _train_share(agents, envs, episodes, share, writer)
-                    status = 0
+                    with out:
+                        _run_jobs(fn, jobs, mapped, out)
+                    os._exit(0)
                 finally:
-                    os._exit(status)
-            writer.close()
-            children[pid] = (reader, share)
+                    os._exit(1)
+            children[pid] = (out, jobs)
         for pid in list(children):
-            reader, share = children[pid]
-            with reader:
-                blob = reader.read()
+            out, jobs = children[pid]
             _, status = os.waitpid(pid, 0)
             del children[pid]
+            with out:
+                out.seek(0)
+                blob = out.read()
             for frame in _frames(blob):
                 if frame[0] == "ok":
-                    _, i, rows[i], agent_state, env_state = frame
-                    vars(agents[i]).update(agent_state)
-                    vars(envs[i]).update(env_state)
+                    results[frame[1]] = frame[2]
                 else:
-                    _, i, text, sent = frame
-                    failures[i] = _sent_error(i, text, sent)
-            lost = [i for i in share if i not in rows]
+                    failures[frame[1]] = _sent_error(name, *frame[1:])
+            lost = [i for i in jobs if i not in results]
             if lost and lost[0] not in failures:
                 failures[lost[0]] = ClientProcessError(
-                    f"agent {lost[0]}'s training process "
-                    f"{_exit_reason(status)} before the agent finished")
+                    f"{name} {lost[0]}'s training process "
+                    f"{_exit_reason(status)} before the {name} finished")
     finally:
-        for pid, (reader, _) in children.items():
-            reader.close()
+        for pid, (out, _) in children.items():
+            out.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if failures:
         raise failures[min(failures)]
-    return [row for i in range(len(agents)) for row in rows[i]]
+    return [results[i] for i in range(n_jobs)]
 
 
 def run_round(agents, envs, global_model: GlobalModel,
               episodes_per_round: int = 1) -> tuple[GlobalModel, RoundReport]:
     """One synchronous round: broadcast, local training, collect, average.
 
-    The agents train side by side in child processes forked for the call,
-    one per worker (see worker_count); with one worker they train one after
-    another in this process. No child outlives the call. After a forked
-    round each agent's and env's attributes are new objects holding the
-    state its child left (arrays in shared memory still view the same
-    memory), so a reference to an attribute taken before the round is
-    stale.
-    Metric rows keep agent order, and the exception of the first failing
-    agent, in that order, aborts the round.
+    The agents train through fork_map. After a forked round each agent's
+    and env's attributes are new objects holding the state its child left
+    (arrays in shared memory still view the same memory), so a reference
+    to an attribute taken before the round is stale. Metric rows keep agent
+    order, and the exception of the first failing agent, in that order,
+    aborts the round. A failed round leaves the agents unusable: their
+    shared arrays may be half written, and none takes on its child's state.
     """
     for agent in agents:
         agent.load_global(global_model.weights)
-    workers = worker_count(len(agents))
-    if workers == 1:
-        rows = [row for agent, env in zip(agents, envs)
-                for row in _train_locally(agent, env, episodes_per_round)]
-    else:
-        rows = _train_forked(agents, envs, episodes_per_round, workers)
+
+    def train(i):
+        rows = []
+        for _ in range(episodes_per_round):
+            agents[i].train_episode(envs[i])
+            rows.append(envs[i].episode_metrics())
+        return rows, vars(agents[i]), vars(envs[i])
+
+    rows = []
+    for agent, env, (agent_rows, agent_state, env_state) in zip(
+            agents, envs, fork_map(train, len(agents), "agent")):
+        vars(agent).update(agent_state)
+        vars(env).update(env_state)
+        rows += agent_rows
     reward, cost, delay, energy = _column_means(rows)
     averaged = federated_average([agent.export_weights() for agent in agents])
     new_model = GlobalModel(averaged, global_model.round_index + 1,
@@ -393,7 +396,9 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
         if checkpoint_dir is not None and checkpoint_every > 0 \
                 and (j + 1) % checkpoint_every == 0:
             _write_checkpoint(checkpoint_dir, model)
-    if checkpoint_dir is not None:
+    # unless the last round's snapshot above has just written it
+    if checkpoint_dir is not None and (checkpoint_every < 1
+                                       or rounds % checkpoint_every):
         _write_checkpoint(checkpoint_dir, model)
     return TrainingResult(reports, model)
 

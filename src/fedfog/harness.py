@@ -17,7 +17,6 @@ import contextlib
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -27,8 +26,8 @@ from .baselines import equal_policy, local_policy, oracle_policy
 from .ddpg import DdpgHyperParams
 from .dqn import DqnHyperParams
 from .env import EnvConfig
-from .federated import (evaluate_global, evaluate_policy, make_eval_envs,
-                        run_training, worker_count)
+from .federated import (evaluate_global, evaluate_policy, fork_map,
+                        make_eval_envs, run_training)
 
 ALL_KINDS = ("fed-ddpg", "fed-dqn", "local", "fap-equal", "oracle")
 TRAINED_KINDS = ("fed-ddpg", "fed-dqn")
@@ -318,21 +317,16 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every (agent kind, seed) cell and persist the metric CSVs.
 
-    The cells run side by side on worker_count(cells) processes, or in
-    this process when that is 1; each cell's numbers are the same either
-    way. Writes one curve CSV per run, an aggregate curve CSV (mean and
-    population std over seeds, recomputable from the per-run files), a
+    The cells run through fork_map, side by side in child processes or
+    one after another in this process; each cell's numbers are the same
+    either way. Writes one curve CSV per run, an aggregate curve CSV (mean
+    and population std over seeds, recomputable from the per-run files), a
     per-run eval CSV, and its aggregate. Failures in any cell propagate.
     """
     cfg.validate()
     cells = [(kind, seed) for kind in cfg.agent_kinds for seed in cfg.seeds]
-    workers = worker_count(len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_cell, [cfg] * len(cells),
-                                    *zip(*cells)))
-    else:
-        outputs = [_run_cell(cfg, k, s) for k, s in cells]
+    outputs = fork_map(lambda i: _run_cell(cfg, *cells[i]), len(cells),
+                       "cell")
     runs = {(o.kind, o.seed): o for o in outputs}
 
     files = []

@@ -94,16 +94,21 @@ def shared_zeros(shape) -> np.ndarray:
     return root.reshape(shape)
 
 
-def shared_ref(obj):
+def shared_arrays() -> dict:
+    """shared_zeros's live arrays by address: what a process forked now maps."""
+    return dict(_shared)
+
+
+def shared_ref(obj, mapped: dict):
     """(address, offset, shape, strides) of an array that lies in memory
-    made by shared_zeros, or None for any other object."""
+    of the shared_arrays() table `mapped`, or None for any other object."""
     if type(obj) is not np.ndarray:
         return None
     root = obj
     while isinstance(root.base, np.ndarray):
         root = root.base
     addr = root.__array_interface__["data"][0]
-    if _shared.get(addr) is not root:
+    if mapped.get(addr) is not root:
         return None
     return (addr, obj.__array_interface__["data"][0] - addr, obj.shape,
             obj.strides)

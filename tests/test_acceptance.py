@@ -6,10 +6,8 @@ are expensive and shared between checks through module fixtures.
 """
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +21,8 @@ from fedfog.dqn import DqnHyperParams
 from fedfog.env import (ActionVector, EnvConfig, FogCellEnv, sanitize_action,
                         slot_cost)
 from fedfog.federated import (build_agent, evaluate_policy,
-                              federated_average, make_eval_envs, run_training,
-                              worker_count)
+                              federated_average, fork_map, make_eval_envs,
+                              run_training)
 from fedfog.harness import (ExperimentConfig, rounds_to_threshold,
                             sweep_fap_cpu, sweep_mds)
 from fedfog.nn import backward, flatten_mlp, forward, init_mlp
@@ -182,7 +180,7 @@ def test_criterion_4_fedavg_exactness(capsys):
 
 
 def _desk_run(kind, seed):
-    """One desk-scale training of the gate, run in a worker process.
+    """One desk-scale training of the gate: one job of desk_runs' fork_map.
 
     DDPG comes with the paired baseline evaluations and `ddpg_wall`, the
     wall time of both measured here.
@@ -209,15 +207,13 @@ def desk_runs():
 
     The per-round eval tail and the baseline evaluations consume the same
     held-out episode draws, so their means are directly comparable. The six
-    trainings are independent and seeded, so worker_count's processes run
-    them with the same results as one after the other; the longer DDPG runs
-    go first.
+    trainings are independent and seeded, so fork_map's children run them
+    with the same results as one after the other; each child takes its
+    share of the CPUs, so with one CPU each a training's rounds run in its
+    child's process. The longer DDPG runs go first.
     """
     jobs = [(kind, seed) for kind in ("ddpg", "dqn") for seed in SEEDS]
-    with ProcessPoolExecutor(max_workers=worker_count(len(jobs)),
-                             mp_context=multiprocessing.get_context("spawn")
-                             ) as pool:
-        parts = list(pool.map(_desk_run, *zip(*jobs)))
+    parts = fork_map(lambda i: _desk_run(*jobs[i]), len(jobs), "desk run")
     runs = {seed: {} for seed in SEEDS}
     for (_, seed), part in zip(jobs, parts):
         runs[seed].update(part)

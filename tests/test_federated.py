@@ -11,16 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedfog.federated as fed
+import fedfog.harness as harness
 from fedfog.ddpg import DdpgAgent, DdpgHyperParams
 from fedfog.dqn import DqnHyperParams
 from fedfog.env import EnvConfig
 from fedfog.federated import (ClientProcessError, GlobalModel, RoundReport,
                               build_agent, evaluate_policy, federated_average,
-                              load_round_checkpoint, make_eval_envs,
+                              fork_map, load_round_checkpoint, make_eval_envs,
                               run_round, run_training, save_round_checkpoint,
                               setup_federation)
 from fedfog.harness import ExperimentConfig, run_experiment
-from fedfog.nn import FlatWeights, flatten_mlp, init_mlp
+from fedfog.nn import FlatWeights, flatten_mlp, init_mlp, shared_zeros
 
 
 def small_env(**over):
@@ -445,12 +446,102 @@ class TestConcurrentRounds:
 
     def test_pool_workers_write_the_same_files(self, serial_files, tmp_path,
                                                forks, monkeypatch):
-        # the pool's processes fork their rounds' children too
+        # the pool's two children hold one CPU each, so their rounds train
+        # in process
         monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
         assert fed.worker_count(10) == 2
         assert experiment_files(tmp_path) == serial_files
         assert any(p.suffix == ".ckpt" for p in serial_files)
-        assert forks
+        assert len(forks) == 2
+        no_child_left(forks)
+
+
+class TestForkMap:
+    def test_no_jobs_fork_nothing(self, forks):
+        assert fork_map(lambda i: i, 0) == []
+        assert not forks
+
+    def test_results_keep_job_order(self, forks, monkeypatch):
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        results = fork_map(lambda i: (i, os.getpid()), 5)
+        assert len(forks) == 2
+        assert results == [(i, forks[i % 2]) for i in range(5)]
+        no_child_left(forks)
+
+    @pytest.mark.parametrize("cpus,share", [(2, 1), (4, 2)])
+    def test_children_take_their_share_of_the_cpus(self, cpus, share, forks,
+                                                   monkeypatch):
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: cpus)
+        assert fork_map(lambda i: fed.worker_count(4), 2) == [share, share]
+        assert fed.worker_count(4) == min(4, cpus)
+        assert len(forks) == 2
+        no_child_left(forks)
+
+    def test_one_job_runs_in_process_and_its_round_forks(self, forks,
+                                                         monkeypatch):
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        agents, envs, _, model = setup_federation(small_env(), "dqn", 3,
+                                                  dqn_hp=small_dqn())
+
+        def job(i):
+            run_round(agents, envs, model)
+            return os.getpid()
+
+        assert fork_map(job, 1) == [os.getpid()]
+        assert len(forks) == 2          # the round's two agents
+        no_child_left(forks)
+
+    def test_child_made_shared_array_comes_back_by_value(self, forks,
+                                                        monkeypatch):
+        # its memory is mapped in the child alone
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        grid = np.arange(12.0).reshape(3, 4)
+
+        def job(i):
+            made = shared_zeros((3, 4))
+            made[:] = grid + 100 * i
+            return made[1:, ::2]
+
+        for i, view in enumerate(fork_map(job, 2)):
+            np.testing.assert_array_equal(view, (grid + 100 * i)[1:, ::2])
+        assert len(forks) == 2
+        no_child_left(forks)
+
+    def test_shared_array_made_before_the_fork_comes_back_by_reference(
+            self, forks, monkeypatch):
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        store = shared_zeros(4)
+
+        def job(i):
+            store[i] = i + 1
+            return store[i:i + 1]
+
+        views = fork_map(job, 2)
+        np.testing.assert_array_equal(store, [1, 2, 0, 0])
+        assert all(np.shares_memory(view, store) for view in views)
+        assert len(forks) == 2
+        no_child_left(forks)
+
+    def test_failing_cell_names_its_cell(self, forks, tmp_path, monkeypatch):
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 2)
+        run_cell = harness._run_cell
+
+        def fail_one(cfg, kind, seed):
+            if (kind, seed) == ("fap-equal", 2):
+                raise RuntimeError("cell broke")
+            return run_cell(cfg, kind, seed)
+
+        monkeypatch.setattr(harness, "_run_cell", fail_one)
+        cfg = ExperimentConfig(env=small_env(), agent_kinds=["local",
+                                                             "fap-equal"],
+                               rounds=2, seeds=[1, 2], eval_episodes=2,
+                               out_dir=str(tmp_path))
+        with pytest.raises(RuntimeError, match="cell broke") as info:
+            run_experiment(cfg)
+        assert isinstance(info.value.__cause__, ClientProcessError)
+        assert "cell 3 failed in its training process" in str(
+            info.value.__cause__)
+        assert len(forks) == 2
         no_child_left(forks)
 
 
@@ -493,6 +584,16 @@ class TestCheckpoints:
                      checkpoint_every=2)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ddpg-round00002.ckpt", "ddpg-round00004.ckpt"]
+
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch):
+        paths = []
+        monkeypatch.setattr(fed, "save_round_checkpoint",
+                            lambda path, model: paths.append(path))
+        run_training(small_env(), "ddpg", seed=13, rounds=4,
+                     ddpg_hp=small_ddpg(), checkpoint_dir=tmp_path,
+                     checkpoint_every=2)
+        assert [os.path.basename(p) for p in paths] == [
+            "ddpg-round00002.ckpt", "ddpg-round00004.ckpt"]
 
     def test_loaded_model_is_usable(self, tmp_path):
         cfg = small_env()
