@@ -21,6 +21,25 @@ from .env import FogCellEnv
 from .nn import FlatWeights, Mlp, flatten_mlp, pack
 
 
+def check_hyperparams(hp, rates, decays, levels=(), probabilities=()) -> None:
+    """Raise ValueError naming the first bad field of a learner's `hp`: the
+    fields both learners have, and its rates, decays, levels, probabilities."""
+    if not 1 <= hp.batch_size <= hp.replay_capacity:
+        raise ValueError("batch_size must be >= 1 and <= replay_capacity")
+    if not (isinstance(hp.hidden, (list, tuple)) and len(hp.hidden) == 2
+            and all(isinstance(h, int) and h >= 1 for h in hp.hidden)):
+        raise ValueError(f"hidden must be two integers >= 1, got {hp.hidden!r}")
+    for names, ok, rule in (
+            (rates, lambda v: 0.0 < v < np.inf, "be finite and > 0"),
+            (decays, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+            (levels, lambda v: 0.0 <= v < np.inf, "be finite and >= 0"),
+            (("gamma", *probabilities), lambda v: 0.0 <= v <= 1.0,
+             "lie in [0, 1]")):
+        for name in names:
+            if not ok(getattr(hp, name)):
+                raise ValueError(f"{name} must {rule}")
+
+
 @dataclass
 class EpisodeReport:
     total_reward: float

@@ -79,8 +79,8 @@ def _allocation_weights(state: SlotState, fap: FogAccessPoint,
     cycles = state.task_cycles
     local = (wd * (cycles / fap.md_cpu_freq)
              + we * (fap.md_energy_coeff * cycles))
-    a_compute = wd * cycles / fap.cpu_freq
-    full_rate = fap.bandwidth * spectral_efficiency(
+    a_compute = wd * cycles / config.fap_cpu
+    full_rate = config.bandwidth * spectral_efficiency(
         fap.md_tx_power, state.channel_gains, config.noise_power)
     a_bandwidth = (wd + we * fap.md_tx_power) * state.task_bits / full_rate
     return local, a_compute, a_bandwidth

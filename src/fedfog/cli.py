@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from .federated import evaluate_global, load_round_checkpoint, make_eval_envs
-from .harness import (PRESETS, convergence_run, load_config, run_experiment,
-                      sweep_fap_cpu, sweep_mds, write_csv, CSV_COLUMNS)
+from .harness import (PRESETS, load_config, run_experiment, sweep_fap_cpu,
+                      sweep_mds, write_csv, CSV_COLUMNS)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -54,14 +54,6 @@ def _cmd_sweep(sweep, args) -> int:
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    cfg = _config_from(args)
-    path, result = convergence_run(cfg)
-    _print_eval_summary(result)
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
     model = load_round_checkpoint(args.checkpoint)
@@ -94,8 +86,6 @@ def main(argv=None) -> int:
                       lambda args: _cmd_sweep(sweep_mds, args)),
         "sweep-cpu": ("cost of every policy vs FAP CPU frequency",
                       lambda args: _cmd_sweep(sweep_fap_cpu, args)),
-        "convergence": ("per-round reward curves for every policy",
-                        _cmd_convergence),
         "eval": ("evaluate a saved global-model checkpoint", _cmd_eval),
     }
     for name, (help_text, _) in commands.items():

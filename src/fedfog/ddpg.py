@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import Agent
+from .agent import Agent, check_hyperparams
 from .env import decode_shares, md_rotations, sanitize_action
 from .nn import AdamState, adam_step, backward, forward, init_mlp, workspace
 from .replay import ReplayBuffer, Transition
@@ -72,12 +72,9 @@ class DdpgHyperParams:
     hidden: tuple[int, int] = (300, 100)
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if self.batch_size > self.replay_capacity:
-            raise ValueError("batch_size cannot exceed replay_capacity")
+        check_hyperparams(self, rates=("actor_lr", "critic_lr"),
+                          decays=("tau", "noise_decay"),
+                          levels=("noise_std", "noise_floor"))
 
 
 class DdpgAgent(Agent):

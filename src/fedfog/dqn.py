@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import Agent
+from .agent import Agent, check_hyperparams
 from .env import decode_shares, sanitize_action
 from .nn import AdamState, adam_step, backward, forward, init_mlp
 from .replay import ReplayBuffer, Transition
@@ -69,10 +69,8 @@ class DqnHyperParams:
     hidden: tuple[int, int] = (300, 100)
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.batch_size > self.replay_capacity:
-            raise ValueError("batch_size cannot exceed replay_capacity")
+        check_hyperparams(self, rates=("lr",), decays=("epsilon_decay",),
+                          probabilities=("epsilon_start", "epsilon_floor"))
         if self.target_sync_period < 1:
             raise ValueError("target_sync_period must be >= 1")
 

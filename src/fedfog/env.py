@@ -23,12 +23,12 @@ across cell sizes.
 Downlink result delivery, FAP-side energy, and cross-slot task queueing are
 deliberately not modeled.
 
-Layout: a cell is one FogAccessPoint holding its own position, CPU and
-bandwidth plus its MDs as arrays over the cell, MD i in row i: positions
-(M, 2), and CPU frequency, transmit power and energy coefficient (M,).
-SlotState and ActionVector use the same order. Costs, gains and mobility
-are whole-array expressions, except the gain's power and the rate's log2,
-which run per MD on Python floats through libm (see channel_gains).
+Layout: a cell's FogAccessPoint holds only what reset() draws for its MDs,
+as arrays over the cell, MD i in row i; SlotState and ActionVector use the
+same order. The FAP's CPU, bandwidth and position (the cell centre) live in
+EnvConfig alone. Costs, gains and mobility are whole-array expressions,
+except the gain's power and the rate's log2, which run per MD on Python
+floats through libm (see channel_gains).
 """
 
 from __future__ import annotations
@@ -127,6 +127,10 @@ class EnvConfig:
         return 3 * self.mds_per_fap
 
     @property
+    def fap_position(self) -> np.ndarray:      # m, the cell centre
+        return np.full(2, self.cell_side / 2.0)
+
+    @property
     def max_task_bits(self) -> float:
         return self.task_bits_range[1]
 
@@ -137,12 +141,8 @@ class EnvConfig:
 
 @dataclass
 class FogAccessPoint:
-    """A FAP and the devices of its cell, held as arrays over the M MDs."""
+    """What reset() draws for the M MDs of a FAP's cell, as arrays."""
 
-    position: np.ndarray                # (2,) m
-    cpu_freq: float                     # Hz
-    bandwidth: float                    # Hz
-    md_positions: np.ndarray            # (M, 2) m
     md_cpu_freq: np.ndarray             # (M,) Hz
     md_tx_power: np.ndarray             # (M,) W
     md_energy_coeff: np.ndarray         # (M,) J/cycle, 1e-27 * md_cpu_freq**2
@@ -154,7 +154,6 @@ class SlotState:
 
     task_bits: np.ndarray
     task_cycles: np.ndarray
-    fap_position: np.ndarray            # (2,)
     md_positions: np.ndarray            # (M, 2)
     channel_gains: np.ndarray
 
@@ -257,11 +256,11 @@ def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
     off = np.flatnonzero(action.offload)
     if off.size:
         power = fap.md_tx_power[off]
-        rate = (action.bandwidth_share[off] * fap.bandwidth
+        rate = (action.bandwidth_share[off] * config.bandwidth
                 * spectral_efficiency(power, state.channel_gains[off],
                                       config.noise_power))
         tx_delay = state.task_bits[off] / rate
-        per_delay[off] = (cycles[off] / (action.compute_share[off] * fap.cpu_freq)
+        per_delay[off] = (cycles[off] / (action.compute_share[off] * config.fap_cpu)
                           + tx_delay)
         per_energy[off] = power * tx_delay
     total_delay = float(per_delay.sum())
@@ -331,6 +330,10 @@ def sanitize_action(raw: np.ndarray) -> ActionVector:
     return ActionVector(offload, shares[0], shares[1])
 
 
+# config.fap_position / config.cell_side: (side / 2) / side is exactly 0.5
+_FAP_COLUMNS = np.array([0.5, 0.5])
+
+
 def flatten_state(state: SlotState, config: EnvConfig) -> np.ndarray:
     """Normalized feature vector of length 5M + 2, every entry in [0, 1].
 
@@ -342,7 +345,7 @@ def flatten_state(state: SlotState, config: EnvConfig) -> np.ndarray:
     return np.concatenate([
         state.task_bits / config.max_task_bits,
         state.task_cycles / config.max_task_cycles,
-        state.fap_position / config.cell_side,
+        _FAP_COLUMNS,
         state.md_positions.reshape(-1) / config.cell_side,
         state.channel_gains * gain_scale,
     ])
@@ -391,13 +394,7 @@ class FogCellEnv:
         self.config = config
         self._rng = np.random.default_rng(seed)
         # the MD arrays are drawn by reset()
-        self.fap = FogAccessPoint(
-            position=np.array([config.cell_side / 2.0, config.cell_side / 2.0]),
-            cpu_freq=config.fap_cpu,
-            bandwidth=config.bandwidth,
-            md_positions=np.empty((0, 2)), md_cpu_freq=np.empty(0),
-            md_tx_power=np.empty(0), md_energy_coeff=np.empty(0),
-        )
+        self.fap = FogAccessPoint(np.empty(0), np.empty(0), np.empty(0))
         self.state: SlotState | None = None
         self.last_cost: CostBreakdown | None = None
         self.t = 0
@@ -464,7 +461,7 @@ class FogCellEnv:
         return flatten_state(state, self.config)
 
     def _draw_trace(self, start: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Task bits and cycles, FAP position, MD positions and gains of the
+        """Task bits and cycles, MD positions and gains of the
         episode's T + 1 slots, row t for slot t, from MD positions `start`.
 
         One block of uniforms holds, per slot, the step length and heading
@@ -494,18 +491,14 @@ class FogCellEnv:
             row = int(out.argmax())
             moves[row] = _reflect(positions[row], cfg.cell_side)
             np.cumsum(moves[row:], axis=0, out=positions[row:])
-        fap_position = self.fap.position.copy()
-        gains = channel_gains(positions.reshape(-1, 2), fap_position,
+        gains = channel_gains(positions.reshape(-1, 2), cfg.fap_position,
                               cfg.path_loss_alpha)
-        return (bits, cycles, fap_position, positions,
-                gains.reshape(steps + 1, m))
+        return bits, cycles, positions, gains.reshape(steps + 1, m)
 
     def _slot(self, t: int) -> SlotState:
-        """Slot t of the trace; the FAP's MDs move to their positions."""
-        bits, cycles, fap_position, positions, gains = self._trace
-        self.fap.md_positions = positions[t]
-        return SlotState(bits[t], cycles[t], fap_position, positions[t],
-                         gains[t])
+        """Slot t of the trace."""
+        bits, cycles, positions, gains = self._trace
+        return SlotState(bits[t], cycles[t], positions[t], gains[t])
 
 
 def _reflect(pos: np.ndarray, side: float) -> np.ndarray:

@@ -14,7 +14,7 @@ process per usable CPU, forked for each round; processes, unlike threads,
 do not queue on the interpreter lock. Every array an agent keeps across
 steps (its online and target stores, Adam moments and replay ring) lives in
 anonymous shared memory, so the children update the parent's agents in
-place. Each child sends back, per agent, the metric rows and the rest of
+place. Each child sends back, per agent, its episode metrics and the rest of
 the agent's and its env's state (RNG states, counters, exploration level,
 replay cursor), so after the round the parent's objects are exactly as
 serial training would have left them. Each agent's float operations and
@@ -329,8 +329,8 @@ def fork_map(fn, n_jobs: int, name: str = "job") -> list:
     return [results[i] for i in range(n_jobs)]
 
 
-def run_round(agents, envs, global_model: GlobalModel,
-              episodes_per_round: int = 1) -> tuple[GlobalModel, RoundReport]:
+def run_round(agents, envs,
+              global_model: GlobalModel) -> tuple[GlobalModel, RoundReport]:
     """One synchronous round: broadcast, local training, collect, average.
 
     The agents train through fork_map. After a forked round each agent's
@@ -345,19 +345,14 @@ def run_round(agents, envs, global_model: GlobalModel,
         agent.load_global(global_model.weights)
 
     def train(i):
-        rows = []
-        for _ in range(episodes_per_round):
-            agents[i].train_episode(envs[i])
-            rows.append(envs[i].episode_metrics())
-        return rows, vars(agents[i]), vars(envs[i])
+        agents[i].train_episode(envs[i])
+        return envs[i].episode_metrics(), vars(agents[i]), vars(envs[i])
 
-    rows = []
-    for agent, env, (agent_rows, agent_state, env_state) in zip(
-            agents, envs, fork_map(train, len(agents), "agent")):
+    results = fork_map(train, len(agents), "agent")
+    for agent, env, (_, agent_state, env_state) in zip(agents, envs, results):
         vars(agent).update(agent_state)
         vars(env).update(env_state)
-        rows += agent_rows
-    reward, cost, delay, energy = _column_means(rows)
+    reward, cost, delay, energy = _column_means([row for row, *_ in results])
     averaged = federated_average([agent.export_weights() for agent in agents])
     new_model = GlobalModel(averaged, global_model.round_index + 1,
                             global_model.agent_kind)
@@ -367,7 +362,6 @@ def run_round(agents, envs, global_model: GlobalModel,
 
 
 def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
-                 episodes_per_round: int = 1,
                  ddpg_hp: DdpgHyperParams | None = None,
                  dqn_hp: DqnHyperParams | None = None,
                  eval_last_rounds: int = 0,
@@ -381,14 +375,14 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
     With a checkpoint_dir the final global model is always written; setting
     checkpoint_every > 0 additionally snapshots every k-th round.
     """
-    if episodes_per_round < 1:
-        raise ValueError("episodes_per_round must be >= 1")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     agents, envs, eval_envs, model = setup_federation(
         env_cfg, agent_kind, seed, ddpg_hp, dqn_hp)
     greedy = build_agent(agent_kind, env_cfg, 0, ddpg_hp, dqn_hp)
     reports = []
     for j in range(rounds):
-        model, report = run_round(agents, envs, model, episodes_per_round)
+        model, report = run_round(agents, envs, model)
         if eval_last_rounds and j >= rounds - eval_last_rounds:
             greedy.load_global(model.weights)
             report.eval_cost = evaluate_policy(greedy.policy(), eval_envs)[1]

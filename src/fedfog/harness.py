@@ -49,7 +49,6 @@ class ExperimentConfig:
     dqn: DqnHyperParams = field(default_factory=DqnHyperParams)
     agent_kinds: list = field(default_factory=lambda: list(ALL_KINDS))
     rounds: int = 200
-    episodes_per_round: int = 1
     seeds: list = field(default_factory=lambda: [1, 2, 3])
     eval_episodes: int = 20         # held-out episodes for the final eval
     eval_last_rounds: int = 20      # per-round eval tail during training
@@ -73,8 +72,7 @@ class ExperimentConfig:
             if kind not in ALL_KINDS:
                 raise ValueError(f"run.agent_kinds contains unknown kind "
                                  f"{kind!r}; valid: {ALL_KINDS}")
-        for name in ("rounds", "episodes_per_round", "eval_episodes",
-                     "sweep_rounds"):
+        for name in ("rounds", "eval_episodes", "sweep_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"run.{name} must be >= 1")
         if self.eval_last_rounds < 0 or self.checkpoint_every < 0:
@@ -103,9 +101,9 @@ PRESETS = {
     },
 }
 
-_RUN_FIELDS = ("rounds", "episodes_per_round", "seeds", "eval_episodes",
-               "eval_last_rounds", "sweep_rounds", "agent_kinds",
-               "save_checkpoints", "checkpoint_every")
+_RUN_FIELDS = ("rounds", "seeds", "eval_episodes", "eval_last_rounds",
+               "sweep_rounds", "agent_kinds", "save_checkpoints",
+               "checkpoint_every")
 _SWEEP_FIELDS = {"mds": "md_sweep", "fap_cpu": "fap_cpu_sweep"}
 _KINDS = {bool: "true/false", int: "an integer", float: "a finite number",
           str: "a string", list: "a list", tuple: "a list"}
@@ -278,7 +276,7 @@ def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
             ckpt_dir = os.path.join(cfg.out_dir, "checkpoints",
                                     run_id_for(cfg, kind, seed))
         result = run_training(
-            cfg.env, agent_kind, seed, cfg.rounds, cfg.episodes_per_round,
+            cfg.env, agent_kind, seed, cfg.rounds,
             ddpg_hp=cfg.ddpg, dqn_hp=cfg.dqn,
             eval_last_rounds=cfg.eval_last_rounds,
             checkpoint_dir=ckpt_dir, checkpoint_every=cfg.checkpoint_every)
@@ -400,16 +398,6 @@ def sweep_fap_cpu(cfg: ExperimentConfig, f_list=None):
     values = list(f_list) if f_list is not None else list(cfg.fap_cpu_sweep)
     return _sweep(cfg, values, "fap_cpu",
                   lambda env, f: replace(env, fap_cpu=float(f)))
-
-
-def convergence_run(cfg: ExperimentConfig):
-    """Per-round reward curves for every kind, aggregated over seeds: the
-    first four columns of aggregate.csv."""
-    result = run_experiment(cfg)
-    path = os.path.join(cfg.out_dir, "convergence.csv")
-    write_csv(path, ["kind", "round", *_STAT_COLUMNS[:2]],
-              [row[:4] for row in result.aggregate])
-    return path, result
 
 
 def rounds_to_threshold(costs, threshold: float) -> float:

@@ -22,13 +22,14 @@ def straight_line_slot_cost(state, action, fap, config) -> float:
     """Recompute the weighted slot cost of a cell from first principles."""
     total_delay = 0.0
     total_energy = 0.0
+    fap_x, fap_y = config.fap_position.tolist()
     for i in range(len(state.task_bits)):
         bits = float(state.task_bits[i])
         cycles = float(state.task_cycles[i])
         md_cpu = float(fap.md_cpu_freq[i])
         md_power = float(fap.md_tx_power[i])
-        dx = float(state.md_positions[i][0]) - float(state.fap_position[0])
-        dy = float(state.md_positions[i][1]) - float(state.fap_position[1])
+        dx = float(state.md_positions[i][0]) - fap_x
+        dy = float(state.md_positions[i][1]) - fap_y
         dist = math.sqrt(dx * dx + dy * dy)
         if dist < 1.0:
             dist = 1.0
@@ -42,7 +43,7 @@ def straight_line_slot_cost(state, action, fap, config) -> float:
             snr = md_power * gain / float(config.noise_power)
             rate = z * float(config.bandwidth) * math.log2(1.0 + snr)
             tx = bits / rate
-            delay = cycles / (y * float(fap.cpu_freq)) + tx
+            delay = cycles / (y * float(config.fap_cpu)) + tx
             energy = md_power * tx
         total_delay += delay
         total_energy += energy
@@ -97,13 +98,14 @@ def _offload_terms(state, fap, config, i: int):
     bits = float(state.task_bits[i])
     cycles = float(state.task_cycles[i])
     md_power = float(fap.md_tx_power[i])
-    dx = float(state.md_positions[i][0]) - float(state.fap_position[0])
-    dy = float(state.md_positions[i][1]) - float(state.fap_position[1])
+    fap_x, fap_y = config.fap_position.tolist()
+    dx = float(state.md_positions[i][0]) - fap_x
+    dy = float(state.md_positions[i][1]) - fap_y
     dist = max(math.sqrt(dx * dx + dy * dy), 1.0)
     gain = dist ** (-float(config.path_loss_alpha))
     snr = md_power * gain / float(config.noise_power)
     full_rate = float(config.bandwidth) * math.log2(1.0 + snr)
-    a_compute = float(config.weight_delay) * cycles / float(fap.cpu_freq)
+    a_compute = float(config.weight_delay) * cycles / float(config.fap_cpu)
     a_bandwidth = ((float(config.weight_delay)
                     + float(config.weight_energy) * md_power)
                    * bits / full_rate)
@@ -152,9 +154,9 @@ def _scalar_weights(state, fap, config):
         md_power = float(fap.md_tx_power[i])
         local.append(wd * (cycles / float(fap.md_cpu_freq[i]))
                      + we * (float(fap.md_energy_coeff[i]) * cycles))
-        a_compute.append(wd * cycles / float(fap.cpu_freq))
+        a_compute.append(wd * cycles / float(config.fap_cpu))
         snr = md_power * float(state.channel_gains[i]) / float(config.noise_power)
-        full_rate = float(fap.bandwidth) * math.log2(1.0 + snr)
+        full_rate = float(config.bandwidth) * math.log2(1.0 + snr)
         a_bandwidth.append((wd + we * md_power) * bits / full_rate)
     return local, a_compute, a_bandwidth
 
@@ -275,19 +277,15 @@ class ReferenceCell:
     """The cell's episode mechanics as they were before episodes drew their
     trace at reset(): each slot draws its tasks when it opens and each move
     draws its step lengths and headings when the slot closes, from the one
-    stream of the instance seed. Costs go through the package's slot_cost.
+    stream of the instance seed. The MDs' walk is kept in md_positions.
+    Costs go through the package's slot_cost.
     """
 
     def __init__(self, config, seed):
         self.config = config
         self._rng = np.random.default_rng(seed)
-        self.fap = FogAccessPoint(
-            position=np.array([config.cell_side / 2.0, config.cell_side / 2.0]),
-            cpu_freq=config.fap_cpu,
-            bandwidth=config.bandwidth,
-            md_positions=np.empty((0, 2)), md_cpu_freq=np.empty(0),
-            md_tx_power=np.empty(0), md_energy_coeff=np.empty(0),
-        )
+        self.fap = FogAccessPoint(np.empty(0), np.empty(0), np.empty(0))
+        self.md_positions = np.empty((0, 2))
         self.state = None
         self.last_cost = None
         self.t = 0
@@ -299,7 +297,7 @@ class ReferenceCell:
         cfg = self.config
         m = cfg.mds_per_fap
         fap = self.fap
-        fap.md_positions = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
+        self.md_positions = self._rng.uniform(0.0, cfg.cell_side, size=(m, 2))
         fap.md_cpu_freq = self._rng.uniform(*cfg.md_cpu_range, size=m)
         fap.md_tx_power = self._rng.uniform(*cfg.md_power_range, size=m)
         fap.md_energy_coeff = md_energy_coeff(fap.md_cpu_freq)
@@ -336,11 +334,9 @@ class ReferenceCell:
         m = cfg.mds_per_fap
         bits = self._rng.uniform(*cfg.task_bits_range, size=m)
         cpb = self._rng.uniform(*cfg.cycles_per_bit_range, size=m)
-        fap = self.fap
-        gains = channel_gains(fap.md_positions, fap.position,
+        gains = channel_gains(self.md_positions, cfg.fap_position,
                               cfg.path_loss_alpha)
-        return SlotState(bits, bits * cpb, fap.position.copy(),
-                         fap.md_positions.copy(), gains)
+        return SlotState(bits, bits * cpb, self.md_positions.copy(), gains)
 
     def _move_devices(self):
         """Bounded random walk, reflected at the cell walls."""
@@ -349,5 +345,5 @@ class ReferenceCell:
         step_len = self._rng.uniform(0.0, cfg.max_move_per_slot, size=m)
         angle = self._rng.uniform(0.0, 2.0 * np.pi, size=m)
         heading = np.stack((np.cos(angle), np.sin(angle)), axis=1)
-        self.fap.md_positions = _reflect(
-            self.fap.md_positions + step_len[:, None] * heading, cfg.cell_side)
+        self.md_positions = _reflect(
+            self.md_positions + step_len[:, None] * heading, cfg.cell_side)

@@ -1,6 +1,7 @@
 """Reference policies and the per-slot optimizer against grid-search oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,23 +19,21 @@ from oracles import (enumerate_slot_optimum, enumerate_subset_costs,
 
 
 def build_cell(rng, m, config):
-    """Random FAP + devices + slot state drawn inside the configured ranges."""
-    side = config.cell_side
-    fap_pos = np.array([side / 2, side / 2])
-    positions = rng.uniform(0, side, size=(m, 2))
+    """Random devices + slot state drawn inside the configured ranges."""
+    fap_pos = config.fap_position
+    positions = rng.uniform(0, config.cell_side, size=(m, 2))
     cpus, powers = np.zeros(m), np.zeros(m)
     for i in range(m):
         cpus[i] = rng.uniform(*config.md_cpu_range)
         powers[i] = rng.uniform(*config.md_power_range)
-    fap = FogAccessPoint(fap_pos, config.fap_cpu, config.bandwidth, positions,
-                         cpus, powers, md_energy_coeff(cpus))
+    fap = FogAccessPoint(cpus, powers, md_energy_coeff(cpus))
     gains = np.array([max(np.linalg.norm(p - fap_pos), 1.0) ** -config.path_loss_alpha
                       for p in positions])
     state = SlotState(rng.uniform(*config.task_bits_range, size=m),
                       rng.uniform(*config.task_bits_range, size=m)
                       * rng.uniform(*config.cycles_per_bit_range, size=m)
                       / np.mean(config.task_bits_range),
-                      fap_pos, positions, gains)
+                      positions, gains)
     return state, fap
 
 
@@ -236,14 +235,12 @@ class TestOracleSlotOptimum:
         # speed is set so that A = L / 2k, where k is the optimal count.
         cfg = EnvConfig()
         cpu = np.full(m, 1.5e9)
-        fap = FogAccessPoint(np.zeros(2), cfg.fap_cpu, cfg.bandwidth,
-                             np.full((m, 2), 70.0), cpu, np.full(m, 0.5),
-                             md_energy_coeff(cpu))
-        state = SlotState(np.full(m, 2e6), np.full(m, 7e8), fap.position,
-                          fap.md_positions.copy(), np.full(m, 1e-8))
+        fap = FogAccessPoint(cpu, np.full(m, 0.5), md_energy_coeff(cpu))
+        state = SlotState(np.full(m, 2e6), np.full(m, 7e8),
+                          np.full((m, 2), 70.0), np.full(m, 1e-8))
         _, _, _, a_b = enumerate_slot_optimum(state, fap, cfg)
         local = 0.5 * (7e8 / 1.5e9) + 0.5 * (fap.md_energy_coeff[0] * 7e8)
-        fap.cpu_freq = 0.5 * 7e8 / (local / (2 * k) - a_b[0])
+        cfg = replace(cfg, fap_cpu=0.5 * 7e8 / (local / (2 * k) - a_b[0]))
         action, _ = oracle_slot_optimum(state, fap, cfg)
         want = [1] * k + [0] * (m - k)
         assert action.offload.tolist() == want

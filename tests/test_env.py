@@ -16,41 +16,40 @@ from fedfog.env import (D_MIN, ActionConstraintError, ActionVector, EnvConfig,
 from oracles import ReferenceCell, straight_line_slot_cost
 
 
-def make_fap(positions, cpus, powers, cpu=5e9, bandwidth=1e7):
-    """A FAP at the origin serving MDs with the given per-MD values."""
+def make_fap(cpus, powers):
+    """The devices of a cell, with the given per-MD values."""
     cpus = np.array(cpus, dtype=float)
-    return FogAccessPoint(np.array([0.0, 0.0]), cpu, bandwidth,
-                          np.array(positions, dtype=float), cpus,
-                          np.array(powers, dtype=float), md_energy_coeff(cpus))
+    return FogAccessPoint(cpus, np.array(powers, dtype=float),
+                          md_energy_coeff(cpus))
 
 
 def one_md_cost(bits, cycles, offload=0, y=0.0, z=0.0, gain=1e-8,
                 md_cpu=1.5e9, power=0.5, fap_cpu=5e9, bandwidth=1e7):
     """Delay (s) and energy (J) of one task in a one-MD cell, via slot_cost."""
-    fap = make_fap([(10.0, 10.0)], [md_cpu], [power], fap_cpu, bandwidth)
-    state = SlotState(np.array([bits]), np.array([cycles]), fap.position,
-                      fap.md_positions.copy(), np.array([gain]))
+    fap = make_fap([md_cpu], [power])
+    state = SlotState(np.array([bits]), np.array([cycles]),
+                      np.array([[10.0, 10.0]]), np.array([gain]))
     action = ActionVector(np.array([offload]), np.array([y]), np.array([z]))
-    out = slot_cost(state, action, fap, EnvConfig(mds_per_fap=1))
+    cfg = EnvConfig(mds_per_fap=1, fap_cpu=fap_cpu, bandwidth=bandwidth)
+    out = slot_cost(state, action, fap, cfg)
     return out.per_md_delay[0], out.per_md_energy[0]
 
 
 def random_slot(rng, config):
     """A consistent random (state, fap) pair without running the env."""
     m = config.mds_per_fap
-    fap_pos = np.array([config.cell_side / 2.0] * 2)
     positions = rng.uniform(0.0, config.cell_side, size=(m, 2))
     cpus, powers = np.zeros(m), np.zeros(m)
     for i in range(m):
         cpus[i] = rng.uniform(*config.md_cpu_range)
         powers[i] = rng.uniform(*config.md_power_range)
         rng.uniform(*config.md_cpu_range)   # unused; keeps the seeded cells
-    fap = FogAccessPoint(fap_pos, config.fap_cpu, config.bandwidth, positions,
-                         cpus, powers, md_energy_coeff(cpus))
+    fap = FogAccessPoint(cpus, powers, md_energy_coeff(cpus))
     bits = rng.uniform(*config.task_bits_range, size=m)
     cpb = rng.uniform(*config.cycles_per_bit_range, size=m)
-    gains = channel_gains(positions, fap_pos, config.path_loss_alpha)
-    state = SlotState(bits, bits * cpb, fap_pos, positions, gains)
+    gains = channel_gains(positions, config.fap_position,
+                          config.path_loss_alpha)
+    state = SlotState(bits, bits * cpb, positions, gains)
     return state, fap
 
 
@@ -185,12 +184,13 @@ class TestSlotCost:
             0.5 * expect_d + 0.5 * expect_e, rel=1e-12)
 
     def test_mixed_action_matches_component_sum(self):
-        # one offloaded MD at the cell edge, one local
+        # one offloaded MD in a cell corner, one local
         cfg = EnvConfig(mds_per_fap=2)
-        fap = make_fap([(200.0, 0.0), (50.0, 50.0)], [1e9, 1.5e9], [1.0, 0.5])
-        gains = channel_gains(fap.md_positions, fap.position, 4.0)
+        fap = make_fap([1e9, 1.5e9], [1.0, 0.5])
+        positions = np.array([(200.0, 0.0), (50.0, 50.0)])
+        gains = channel_gains(positions, cfg.fap_position, 4.0)
         state = SlotState(np.array([2e6, 1e6]), np.array([7e8, 7e8]),
-                          fap.position, fap.md_positions.copy(), gains)
+                          positions, gains)
         action = ActionVector(np.array([1, 0]), np.array([0.2, 0.0]),
                               np.array([0.2, 0.0]))
         out = slot_cost(state, action, fap, cfg)
@@ -363,7 +363,6 @@ class TestFlatten:
         cfg = EnvConfig(mds_per_fap=2)
         state = SlotState(np.array([cfg.max_task_bits] * 2),
                           np.array([cfg.max_task_cycles] * 2),
-                          np.array([100.0, 100.0]),
                           np.array([[200.0, 0.0], [0.0, 200.0]]),
                           np.array([0.5, 0.25]))
         flat = flatten_state(state, cfg)
@@ -385,8 +384,7 @@ class TestFlatten:
         for k in range(m):
             p = (np.arange(m) + k) % m
             moved = SlotState(state.task_bits[p], state.task_cycles[p],
-                              state.fap_position, state.md_positions[p],
-                              state.channel_gains[p])
+                              state.md_positions[p], state.channel_gains[p])
             np.testing.assert_array_equal(
                 flatten_state(state, cfg)[state_maps[k]],
                 flatten_state(moved, cfg))
@@ -493,8 +491,8 @@ class TestLibmPath:
             state = env.reset(seed=episode)
             while True:
                 for i in range(12):
-                    dx = state.md_positions[i][0] - state.fap_position[0]
-                    dy = state.md_positions[i][1] - state.fap_position[1]
+                    dx = state.md_positions[i][0] - cfg.fap_position[0]
+                    dy = state.md_positions[i][1] - cfg.fap_position[1]
                     want = max(float(np.hypot(dx, dy)), D_MIN) ** -4.0
                     assert state.channel_gains[i] == want
                 if env.t == cfg.steps_per_episode:

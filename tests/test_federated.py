@@ -153,10 +153,16 @@ class TestRounds:
         assert [r.round_index for r in res.reports] == [1, 2, 3]
         assert res.global_model.round_index == 3
 
-    def test_zero_episodes_per_round_rejected(self):
-        with pytest.raises(ValueError, match="episodes_per_round"):
-            run_training(small_env(), "ddpg", seed=2, rounds=4,
-                         episodes_per_round=0, ddpg_hp=small_ddpg())
+    @pytest.mark.parametrize("checkpoint_every", [0, 2])
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_no_rounds_rejected(self, rounds, checkpoint_every, tmp_path):
+        # neither a checkpoint nor an untrained model comes back
+        with pytest.raises(ValueError, match=f"rounds must be >= 1, "
+                                             f"got {rounds}"):
+            run_training(small_env(), "ddpg", seed=2, rounds=rounds,
+                         ddpg_hp=small_ddpg(), checkpoint_dir=tmp_path,
+                         checkpoint_every=checkpoint_every)
+        assert not any(tmp_path.iterdir())
 
     def test_training_is_deterministic(self):
         cfg = small_env()
@@ -222,15 +228,14 @@ class TestRounds:
         assert all(np.isfinite(c) for c in tail[3:])
 
 
-def serial_round(agents, envs, model, episodes):
+def serial_round(agents, envs, model):
     """Reference round: the agents train one after another on this thread."""
     for agent in agents:
         agent.load_global(model.weights)
     rows = []
     for agent, env in zip(agents, envs):
-        for _ in range(episodes):
-            agent.train_episode(env)
-            rows.append(env.episode_metrics())
+        agent.train_episode(env)
+        rows.append(env.episode_metrics())
     reward, cost, delay, energy = (float(np.mean(c)) for c in zip(*rows))
     averaged = federated_average([agent.export_weights() for agent in agents])
     new = GlobalModel(averaged, model.round_index + 1, model.agent_kind)
@@ -239,12 +244,12 @@ def serial_round(agents, envs, model, episodes):
                             cost, delay, energy)
 
 
-def three_rounds(kind, cfg, round_fn, episodes=2):
+def three_rounds(kind, cfg, round_fn):
     agents, envs, _, model = setup_federation(
         cfg, kind, 11, ddpg_hp=small_ddpg(), dqn_hp=small_dqn())
     reports = []
     for _ in range(3):
-        model, report = round_fn(agents, envs, model, episodes)
+        model, report = round_fn(agents, envs, model)
         reports.append(report)
     return model, reports, agents, envs
 

@@ -4,14 +4,21 @@ import csv
 import math
 import re
 import textwrap
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fedfog.cli import main
+from fedfog.ddpg import DdpgHyperParams
+from fedfog.dqn import DqnHyperParams
+from fedfog.env import EnvConfig
 from fedfog.federated import run_training
-from fedfog.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
-                            load_config, rounds_to_threshold, run_experiment,
+from fedfog.harness import (_RUN_FIELDS, _SWEEP_FIELDS, CSV_COLUMNS,
+                            ExperimentConfig, config_from_dict, load_config,
+                            rounds_to_threshold, run_experiment,
                             sweep_fap_cpu, sweep_mds, write_csv)
 
 TINY_YAML = textwrap.dedent("""\
@@ -47,7 +54,6 @@ def tiny_cfg_path(tmp_path):
 
 
 def tiny_cfg(tmp_path, **over):
-    import yaml
     data = yaml.safe_load(TINY_YAML)
     data.update(over)
     cfg = config_from_dict(data)
@@ -104,6 +110,8 @@ class TestConfigLoading:
             config_from_dict({"run": {"episodes": 5}})
         with pytest.raises(ValueError, match="run.workers"):
             config_from_dict({"run": {"workers": 2}})
+        with pytest.raises(ValueError, match="run.episodes_per_round"):
+            config_from_dict({"run": {"episodes_per_round": 1}})
         with pytest.raises(ValueError, match="sweeps.cpus"):
             config_from_dict({"sweeps": {"cpus": [1e9]}})
         with pytest.raises(ValueError, match="ddpg.alpha"):
@@ -147,6 +155,37 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=re.escape(field)) as exc:
             load_config(path=str(path))
         assert "must be a finite number" in str(exc.value)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("ddpg", "hidden", [16]), ("ddpg", "hidden", [0, 8]),
+        ("ddpg", "batch_size", 0), ("dqn", "batch_size", 0),
+        ("dqn", "lr", -1.0), ("ddpg", "noise_decay", -1.0),
+        ("ddpg", "critic_lr", 0.0), ("ddpg", "noise_std", -0.1),
+        ("ddpg", "noise_floor", -1.0), ("dqn", "epsilon_decay", 0.0),
+        ("dqn", "epsilon_start", 1.5), ("dqn", "epsilon_floor", -0.1)])
+    def test_bad_hyperparameter_refused_naming_field(self, section, key,
+                                                     value):
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            config_from_dict({section: {key: value}})
+
+    def test_boundary_hyperparameters_accepted(self):
+        cfg = config_from_dict({
+            "ddpg": {"noise_std": 0.0, "gamma": 0.0, "noise_decay": 1.0,
+                     "tau": 1.0, "hidden": [1, 1], "batch_size": 1},
+            "dqn": {"epsilon_start": 0.0, "epsilon_floor": 1.0,
+                    "batch_size": 20000, "hidden": [8, 8]}})
+        assert cfg.ddpg.hidden == (1, 1) and cfg.dqn.batch_size == 20000
+
+    def test_readme_block_is_the_defaults_and_names_every_field(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        data = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```")[0])
+        assert config_from_dict(data) == ExperimentConfig()
+        for section, cls in (("env", EnvConfig), ("ddpg", DdpgHyperParams),
+                             ("dqn", DqnHyperParams)):
+            assert sorted(data[section]) == sorted(f.name
+                                                   for f in fields(cls))
+        assert sorted(data["run"]) == sorted(_RUN_FIELDS)
+        assert sorted(data["sweeps"]) == sorted(_SWEEP_FIELDS)
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -338,7 +377,6 @@ class TestCli:
 
     def test_sweep_commands(self, tiny_cfg_path, tmp_path):
         out = tmp_path / "sweeps"
-        import yaml
         data = yaml.safe_load(TINY_YAML)
         data["run"]["agent_kinds"] = ["local", "fap-equal"]
         data["run"]["sweep_rounds"] = 1
@@ -350,22 +388,6 @@ class TestCli:
                      "--out", str(out / "f")]) == 0
         assert (out / "m" / "sweep-num_mds.csv").exists()
         assert (out / "f" / "sweep-fap_cpu.csv").exists()
-
-    def test_convergence_command(self, tiny_cfg_path, tmp_path):
-        out = tmp_path / "conv"
-        rc = main(["convergence", "--config", tiny_cfg_path,
-                   "--out", str(out), "--seed", "2"])
-        assert rc == 0
-        assert (out / "convergence.csv").exists()
-
-    def test_convergence_is_aggregate_head(self, tiny_cfg_path, tmp_path):
-        out = tmp_path / "conv"
-        assert main(["convergence", "--config", tiny_cfg_path,
-                     "--out", str(out)]) == 0
-        aggregate = read_rows(out / "aggregate.csv")
-        assert aggregate[0][:4] == ["kind", "round", "mean_reward_mean",
-                                    "mean_reward_std"]
-        assert read_rows(out / "convergence.csv") == [r[:4] for r in aggregate]
 
     def test_eval_command_reads_checkpoint(self, tiny_cfg_path, tmp_path,
                                            capsys):
@@ -419,7 +441,8 @@ class TestCli:
     def test_unread_flags_refused(self, tmp_path):
         ckpt = str(tmp_path / "model.ckpt")
         for argv in (["train", "--workers", "2"],
-                     ["eval", "--checkpoint", ckpt, "--workers", "2"]):
+                     ["eval", "--checkpoint", ckpt, "--workers", "2"],
+                     ["convergence"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
