@@ -8,7 +8,8 @@ broadcast overwrites it and resets the targets to it. Target networks are a
 local stabiliser, so they are neither uploaded nor averaged.
 
 A subclass supplies act(state, explore) -> (action stored in replay,
-ActionVector), update_step() -> loss or None, and end_episode().
+ActionVector), update_step() -> loss or None, end_episode(), and the greedy
+path: _greedy(states) -> outputs per row, _decode(outputs) -> [x, y, z] rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import FogCellEnv
+from .env import FogCellEnv, sanitize_action
 from .nn import FlatWeights, Mlp, flatten_mlp, pack
 
 
@@ -80,9 +81,15 @@ class Agent:
                              len(losses))
 
     def policy(self):
-        """Frozen greedy policy suitable for rollout_episode()."""
+        """Frozen greedy policy suitable for rollout_episode(); its plan(env)
+        decides the slots left in env's trace with one forward."""
         def act(env, state):
             return self.act(env.flatten_state(state), explore=False)[1]
+
+        def plan(env):
+            greedy = self._greedy(env.flatten_state(env.trace_states()))
+            return [sanitize_action(row) for row in self._decode(greedy)]
+        act.plan = plan
         return act
 
     def sync_target(self) -> None:

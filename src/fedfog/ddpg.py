@@ -105,7 +105,9 @@ class DdpgAgent(Agent):
         self._state_rot = states
         self._action_rot = actions
         self._action_unrot = np.argsort(actions, axis=1)
-        self._rotations = np.arange(len(actions))[:, None]
+        # rotation k's outputs in MD order, gathered from the M flat rows
+        self._greedy_unrot = (np.arange(len(actions))[:, None] * actions.shape[1]
+                              + self._action_unrot).ravel()
 
     def _act_rotated(self, net, states: np.ndarray):
         """Output of `net` on states whose MDs are rotated at random.
@@ -123,11 +125,20 @@ class DdpgAgent(Agent):
         features, pullback = share_features(actions)
         return np.hstack([states, features]), pullback
 
+    def _greedy(self, states: np.ndarray) -> np.ndarray:
+        """Rotation-averaged actor outputs, one row per state."""
+        rot = self._state_rot
+        out, _ = forward(self.actor, states.take(rot.ravel(), axis=1)
+                         .reshape(-1, rot.shape[1]))
+        return (out.reshape(len(states), -1).take(self._greedy_unrot, axis=1)
+                .reshape(len(states), len(rot), -1).mean(axis=1))
+
+    _decode = staticmethod(decode_shares)
+
     def select_action(self, state: np.ndarray, explore: bool) -> np.ndarray:
         """Rotation-averaged actor output plus Gaussian exploration noise,
         clipped to [0, 1]."""
-        out, _ = forward(self.actor, state[self._state_rot])
-        a = out[self._rotations, self._action_unrot].mean(axis=0)
+        a = self._greedy(state[None])[0]
         if explore and self.noise_std > 0.0:
             a = a + self.rng.normal(0.0, self.noise_std, size=a.shape)
         return np.clip(a, 0.0, 1.0)
@@ -190,7 +201,7 @@ class DdpgAgent(Agent):
     def act(self, state: np.ndarray, explore: bool):
         """Replay stores the raw actor output; the env gets its decoding."""
         raw = self.select_action(state, explore)
-        return raw, sanitize_action(decode_shares(raw))
+        return raw, sanitize_action(self._decode(raw))
 
     # Bound here as well as inherited: tracing patches per-class attributes.
     export_weights = Agent.export_weights

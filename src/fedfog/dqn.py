@@ -41,7 +41,7 @@ CATALOG = _catalog()
 
 
 def decode_action(indices, num_mds: int) -> np.ndarray:
-    """Map per-MD catalog indices to an [x, y, z] action vector.
+    """Map per-MD catalog indices, (M,) or (n, M), to [x, y, z] rows.
 
     Index 0 is local execution. Index 1 + (i-1)*5 + (j-1) offloads with
     share weights r_i and r_j, where r_k = (k-1)/4 spans [0, 1] like the
@@ -49,11 +49,12 @@ def decode_action(indices, num_mds: int) -> np.ndarray:
     each budget. The result feeds sanitize_action.
     """
     indices = np.asarray(indices, dtype=int)
-    if indices.shape != (num_mds,):
+    if indices.shape[-1:] != (num_mds,):
         raise ValueError(f"expected {num_mds} indices, got shape {indices.shape}")
     if np.any(indices < 0) or np.any(indices >= ACTIONS_PER_MD):
         raise ValueError(f"action index outside [0, {ACTIONS_PER_MD})")
-    return decode_shares(CATALOG[indices].T.ravel())
+    return decode_shares(np.swapaxes(CATALOG[indices], -1, -2)
+                         .reshape(*indices.shape[:-1], 3 * num_mds))
 
 
 @dataclass
@@ -99,13 +100,16 @@ class DqnAgent(Agent):
     def _head_values(self, q: np.ndarray) -> np.ndarray:
         return q.reshape(*q.shape[:-1], self.num_mds, ACTIONS_PER_MD)
 
-    def select(self, state: np.ndarray, epsilon: float) -> np.ndarray:
-        """Per-head argmax, replaced by a uniform index with prob. epsilon.
+    def _greedy(self, states: np.ndarray) -> np.ndarray:
+        """Per-head argmax, one row per state; ties go to the lowest index."""
+        return np.argmax(self._head_values(forward(self.net, states)[0]), -1)
 
-        Ties resolve to the lowest index (np.argmax convention).
-        """
-        q, _ = forward(self.net, state[None])
-        greedy = np.argmax(self._head_values(q[0]), axis=-1)
+    def _decode(self, indices) -> np.ndarray:
+        return decode_action(indices, self.num_mds)
+
+    def select(self, state: np.ndarray, epsilon: float) -> np.ndarray:
+        """Per-head argmax, replaced by a uniform index with prob. epsilon."""
+        greedy = self._greedy(state[None])[0]
         explore = self.rng.random(self.num_mds) < epsilon
         random_idx = self.rng.integers(0, ACTIONS_PER_MD, size=self.num_mds)
         return np.where(explore, random_idx, greedy)
@@ -148,8 +152,7 @@ class DqnAgent(Agent):
     def act(self, state: np.ndarray, explore: bool):
         """Replay stores the catalog indices; the env gets their decoding."""
         indices = self.select(state, self.epsilon if explore else 0.0)
-        return (indices.astype(float),
-                sanitize_action(decode_action(indices, self.num_mds)))
+        return indices.astype(float), sanitize_action(self._decode(indices))
 
     # Bound here as well as inherited: tracing patches per-class attributes.
     export_weights = Agent.export_weights

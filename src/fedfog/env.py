@@ -150,7 +150,7 @@ class FogAccessPoint:
 
 @dataclass
 class SlotState:
-    """Observable state of one cell at one slot; every vector has length M."""
+    """Observable state of a cell at one slot, or at several along axis 0."""
 
     task_bits: np.ndarray
     task_cycles: np.ndarray
@@ -270,7 +270,7 @@ def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
 
 
 def decode_shares(raw: np.ndarray) -> np.ndarray:
-    """Map a raw output [x, r_y, r_z] in [0, 1]^(3M) to [x, y, z] shares.
+    """Map each raw row [x, r_y, r_z] in [0, 1]^(3M) to [x, y, z] shares.
 
     An MD is offloaded when x > 0.5. Within each share group an offloaded MD
     i receives (1 + r_i) / sum_j (1 + r_j) over the offloaded MDs j, and an
@@ -280,12 +280,14 @@ def decode_shares(raw: np.ndarray) -> np.ndarray:
     actions through this rule before sanitize_action.
     """
     raw = np.asarray(raw, dtype=float)
-    m = raw.size // 3
-    weights = (1.0 + raw[m:].reshape(2, m)) * (raw[:m] > 0.5)
-    totals = weights.sum(axis=1, keepdims=True)
+    lead, m = raw.shape[:-1], raw.shape[-1] // 3
+    weights = ((1.0 + raw[..., m:].reshape(*lead, 2, m))
+               * (raw[..., None, :m] > 0.5))
+    totals = weights.sum(axis=-1, keepdims=True)
     out = raw.copy()
-    # both groups share the offload mask, so both totals are 0 or neither
-    out[m:] = (weights / totals).ravel() if totals[0, 0] > 0.0 else 0.0
+    # an all-local row has zero totals and keeps zero shares
+    out[..., m:] = np.divide(weights, totals, out=np.zeros_like(weights),
+                             where=totals > 0.0).reshape(*lead, 2 * m)
     return out
 
 
@@ -335,20 +337,21 @@ _FAP_COLUMNS = np.array([0.5, 0.5])
 
 
 def flatten_state(state: SlotState, config: EnvConfig) -> np.ndarray:
-    """Normalized feature vector of length 5M + 2, every entry in [0, 1].
+    """Normalized features, 5M + 2 per slot (row), every entry in [0, 1].
 
     Order: task bits, task cycles, FAP position, MD positions, channel gains.
     Bits and cycles are scaled by their configured maxima, positions by the
     cell side, and gains by the clamp-distance gain (their upper bound).
     """
+    lead = state.task_bits.shape[:-1]
     gain_scale = D_MIN ** config.path_loss_alpha
     return np.concatenate([
         state.task_bits / config.max_task_bits,
         state.task_cycles / config.max_task_cycles,
-        _FAP_COLUMNS,
-        state.md_positions.reshape(-1) / config.cell_side,
+        np.broadcast_to(_FAP_COLUMNS, (*lead, 2)),
+        state.md_positions.reshape(*lead, -1) / config.cell_side,
         state.channel_gains * gain_scale,
-    ])
+    ], axis=-1)
 
 
 def md_rotations(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,6 +463,10 @@ class FogCellEnv:
     def flatten_state(self, state: SlotState) -> np.ndarray:
         return flatten_state(state, self.config)
 
+    def trace_states(self) -> SlotState:
+        """The slots t to T - 1 still to play, along a leading axis."""
+        return self._slot(slice(self.t, self.config.steps_per_episode))
+
     def _draw_trace(self, start: np.ndarray) -> tuple[np.ndarray, ...]:
         """Task bits and cycles, MD positions and gains of the
         episode's T + 1 slots, row t for slot t, from MD positions `start`.
@@ -484,19 +491,33 @@ class FogCellEnv:
         heading = np.stack((np.cos(angle), np.sin(angle)), axis=2)
         moves = np.concatenate((start[None], step_len[:, :, None] * heading))
         # Reflection is the identity inside the cell, so the walk is a
-        # running sum that restarts, reflected, at each row leaving the cell.
-        positions = np.cumsum(moves, axis=0)
-        while (out := ((positions < 0.0) | (positions > cfg.cell_side))
-               .any(axis=(1, 2))).any():
-            row = int(out.argmax())
-            moves[row] = _reflect(positions[row], cfg.cell_side)
-            np.cumsum(moves[row:], axis=0, out=positions[row:])
+        # running sum that restarts, reflected, at each row leaving the
+        # cell. The sum runs on from `row` over `width` rows: all of them at
+        # first, then 8 times the last gap between exits, doubled while no
+        # row of the window leaves. Rows are summed about as far as the next
+        # exit, not to the end at every exit.
+        walk = moves.reshape(steps + 1, 2 * m)
+        positions = np.empty_like(walk)
+        row, width = 0, steps + 1
+        while row <= steps:
+            window = positions[row:row + width]
+            np.cumsum(walk[row:row + width], axis=0, out=window)
+            out = ((window < 0.0) | (window > cfg.cell_side)).any(axis=1)
+            k = int(out.argmax())
+            if out[k]:
+                window[k] = _reflect(window[k], cfg.cell_side)
+                row, width = row + k + 1, 8 * (k + 1)
+            else:
+                row, width = row + len(window), 2 * width
+            if row <= steps:    # the next window starts from this row's sum
+                walk[row] += positions[row - 1]
         gains = channel_gains(positions.reshape(-1, 2), cfg.fap_position,
                               cfg.path_loss_alpha)
-        return bits, cycles, positions, gains.reshape(steps + 1, m)
+        return (bits, cycles, positions.reshape(steps + 1, m, 2),
+                gains.reshape(steps + 1, m))
 
-    def _slot(self, t: int) -> SlotState:
-        """Slot t of the trace."""
+    def _slot(self, t) -> SlotState:
+        """Slot t of the trace, or for a slice t its slots along axis 0."""
         bits, cycles, positions, gains = self._trace
         return SlotState(bits[t], cycles[t], positions[t], gains[t])
 
@@ -510,8 +531,13 @@ def _reflect(pos: np.ndarray, side: float) -> np.ndarray:
 
 def rollout_episode(env: FogCellEnv, policy):
     """Run one full episode under `policy(env, state) -> ActionVector` and
-    return its env.episode_metrics()."""
-    state = env.reset()
-    for _ in range(env.config.steps_per_episode):
-        _, state = env.step(policy(env, state))
+    return its env.episode_metrics(). A policy with a plan(env) method
+    decides all T slots at once after reset() instead; step() charges them."""
+    state, steps = env.reset(), env.config.steps_per_episode
+    actions = policy.plan(env) if hasattr(policy, "plan") else None
+    if actions is not None and len(actions) != steps:
+        raise ValueError(f"plan(env) gave {len(actions)} actions, not {steps}")
+    for t in range(steps):
+        action = policy(env, state) if actions is None else actions[t]
+        _, state = env.step(action)
     return env.episode_metrics()

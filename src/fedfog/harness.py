@@ -142,7 +142,10 @@ def _build_section(cls, data, section: str):
         if key not in known:
             raise ValueError(f"unknown config field {section}.{key}")
         kwargs[key] = _coerce(getattr(defaults, key), value, f"{section}.{key}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:   # its text starts with the field's name
+        raise ValueError(f"{section}.{exc}") from exc
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:

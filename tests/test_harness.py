@@ -162,10 +162,11 @@ class TestConfigLoading:
         ("dqn", "lr", -1.0), ("ddpg", "noise_decay", -1.0),
         ("ddpg", "critic_lr", 0.0), ("ddpg", "noise_std", -0.1),
         ("ddpg", "noise_floor", -1.0), ("dqn", "epsilon_decay", 0.0),
-        ("dqn", "epsilon_start", 1.5), ("dqn", "epsilon_floor", -0.1)])
+        ("dqn", "epsilon_start", 1.5), ("dqn", "epsilon_floor", -0.1),
+        ("env", "weight_delay", 1.5)])
     def test_bad_hyperparameter_refused_naming_field(self, section, key,
                                                      value):
-        with pytest.raises(ValueError, match=f"^{key} must "):
+        with pytest.raises(ValueError, match=rf"^{section}\.{key} must "):
             config_from_dict({section: {key: value}})
 
     def test_boundary_hyperparameters_accepted(self):
