@@ -22,8 +22,9 @@ from .federated import (ClientProcessError, GlobalModel, RoundReport,
                         federated_average, load_round_checkpoint,
                         make_eval_envs, run_round, run_training,
                         save_round_checkpoint, setup_federation)
-from .harness import (ExperimentConfig, ExperimentResult, load_config,
-                      run_experiment, sweep_fap_cpu, sweep_mds)
+from .harness import (ExperimentConfig, ExperimentResult, RunConfig,
+                      SweepConfig, load_config, run_experiment, sweep_fap_cpu,
+                      sweep_mds)
 from .nn import (AdamState, FlatWeights, Mlp, adam_step, backward,
                  flatten_mlp, forward, init_mlp, load_checkpoint, pack,
                  save_checkpoint)

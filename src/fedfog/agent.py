@@ -56,6 +56,7 @@ class Agent:
         """Make `nets` the online store; returns their copies, which form
         the target store."""
         self._online_nets = nets
+        self._layout = flatten_mlp(*nets).layout()
         self.online = pack(*nets)
         targets = [net.copy() for net in nets]
         self.targets = pack(*targets)
@@ -100,9 +101,9 @@ class Agent:
         return flatten_mlp(*self._online_nets)
 
     def load_global(self, flat: FlatWeights) -> None:
-        """Adopt broadcast weights; the targets re-sync to them."""
-        if flat.values.size != self.online.size:
-            raise ValueError(f"weight vector has {flat.values.size} values, "
-                             f"agent needs {self.online.size}")
+        """Adopt broadcast weights of its own layout; the targets re-sync."""
+        if flat.layout() != self._layout:
+            raise ValueError(f"weight layout {flat.layout()} is not the "
+                             f"agent's layout {self._layout}")
         self.online[...] = flat.values
         self.sync_target()

@@ -32,8 +32,8 @@ def _config_from(args) -> "ExperimentConfig":
 def _print_eval_summary(result) -> None:
     """Per kind: the final eval cost over seeds, and the mean eval cost of
     the last run.eval_last_rounds rounds (nan when none were evaluated)."""
-    for kind in result.config.agent_kinds:
-        runs = [result.runs[(kind, s)] for s in result.config.seeds]
+    for kind in result.config.run.agent_kinds:
+        runs = [result.runs[(kind, s)] for s in result.config.run.seeds]
         costs = [run.final_eval[1] for run in runs]
         tail = np.mean([run.tail_eval_cost for run in runs])
         print(f"{kind}: eval cost {np.mean(costs):.6g} "
@@ -57,7 +57,7 @@ def _cmd_sweep(sweep, args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
     model = load_round_checkpoint(args.checkpoint)
-    seed = cfg.seeds[0]
+    seed = cfg.run.seeds[0]
     metrics = evaluate_global(model, cfg.env, make_eval_envs(cfg.env, seed),
                               cfg.final_eval_episodes(), cfg.ddpg, cfg.dqn)
     print(f"checkpoint {args.checkpoint} ({model.agent_kind}, "

@@ -195,8 +195,10 @@ class DdpgAgent(Agent):
         return loss
 
     def end_episode(self) -> None:
-        self.noise_std = max(self.hp.noise_floor,
-                             self.noise_std * self.hp.noise_decay)
+        # the floor only stops the decay; it never raises the noise
+        if self.noise_std > self.hp.noise_floor:
+            self.noise_std = max(self.hp.noise_floor,
+                                 self.noise_std * self.hp.noise_decay)
 
     def act(self, state: np.ndarray, explore: bool):
         """Replay stores the raw actor output; the env gets its decoding."""

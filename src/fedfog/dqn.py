@@ -140,8 +140,10 @@ class DqnAgent(Agent):
         return loss
 
     def end_episode(self) -> None:
-        self.epsilon = max(self.hp.epsilon_floor,
-                           self.epsilon * self.hp.epsilon_decay)
+        # the floor only stops the decay; it never raises epsilon
+        if self.epsilon > self.hp.epsilon_floor:
+            self.epsilon = max(self.hp.epsilon_floor,
+                               self.epsilon * self.hp.epsilon_decay)
 
     def update_step(self) -> float | None:
         """One TD update from a sampled batch, if warm."""

@@ -29,8 +29,14 @@ from .env import EnvConfig
 from .federated import (evaluate_global, evaluate_policy, fork_map,
                         make_eval_envs, run_training)
 
-ALL_KINDS = ("fed-ddpg", "fed-dqn", "local", "fap-equal", "oracle")
-TRAINED_KINDS = ("fed-ddpg", "fed-dqn")
+# trained kind -> learner; fixed kind -> its policy, evaluated as is
+TRAINED_KINDS = {"fed-ddpg": "ddpg", "fed-dqn": "dqn"}
+FIXED_POLICIES = {
+    "local": lambda env, state: local_policy(state),
+    "fap-equal": lambda env, state: equal_policy(state),
+    "oracle": oracle_policy,
+}
+ALL_KINDS = (*TRAINED_KINDS, *FIXED_POLICIES)
 
 CSV_COLUMNS = ("run_id", "seed", "round", "mean_reward", "mean_cost",
                "mean_delay", "mean_energy")
@@ -42,52 +48,65 @@ _STAT_COLUMNS = tuple(f"{metric}_{stat}" for metric in _AGG_METRICS
 
 
 @dataclass
-class ExperimentConfig:
-    scenario: str = "desk"
-    env: EnvConfig = field(default_factory=EnvConfig)
-    ddpg: DdpgHyperParams = field(default_factory=DdpgHyperParams)
-    dqn: DqnHyperParams = field(default_factory=DqnHyperParams)
-    agent_kinds: list = field(default_factory=lambda: list(ALL_KINDS))
+class RunConfig:
+    """The `run` section: training budget, seeds, kinds and outputs."""
     rounds: int = 200
     seeds: list = field(default_factory=lambda: [1, 2, 3])
+    agent_kinds: list = field(default_factory=lambda: list(ALL_KINDS))
     eval_episodes: int = 20         # held-out episodes for the final eval
     eval_last_rounds: int = 20      # per-round eval tail during training
     sweep_rounds: int = 40          # training budget per sweep grid point
-    md_sweep: list = field(default_factory=lambda: [1, 2, 3])
-    fap_cpu_sweep: list = field(default_factory=lambda: [2e9, 5e9, 8e9])
-    out_dir: str = "results"
     save_checkpoints: bool = True
     checkpoint_every: int = 0       # extra per-round snapshots; 0 = final only
 
-    def validate(self) -> None:
-        """Raise ValueError naming the offending field."""
-        if not self.seeds:
-            raise ValueError("run.seeds must be a non-empty list")
-        for s in self.seeds:
-            if not isinstance(s, int):
-                raise ValueError(f"run.seeds entries must be integers, got {s!r}")
-        if not self.agent_kinds:
-            raise ValueError("run.agent_kinds must be non-empty")
-        for kind in self.agent_kinds:
-            if kind not in ALL_KINDS:
-                raise ValueError(f"run.agent_kinds contains unknown kind "
-                                 f"{kind!r}; valid: {ALL_KINDS}")
+    def __post_init__(self):
+        if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
+            raise ValueError(f"seeds must be a non-empty list of integers, "
+                             f"got {self.seeds!r}")
+        if not self.agent_kinds or not set(self.agent_kinds) <= set(ALL_KINDS):
+            raise ValueError(f"agent_kinds must be a non-empty list of kinds "
+                             f"from {ALL_KINDS}, got {self.agent_kinds!r}")
         for name in ("rounds", "eval_episodes", "sweep_rounds"):
             if getattr(self, name) < 1:
-                raise ValueError(f"run.{name} must be >= 1")
-        if self.eval_last_rounds < 0 or self.checkpoint_every < 0:
-            raise ValueError("run.eval_last_rounds and run.checkpoint_every "
-                             "must be >= 0")
-        if any(m < 1 for m in self.md_sweep):
-            raise ValueError("sweeps.mds entries must be >= 1")
-        if any(f <= 0 for f in self.fap_cpu_sweep):
-            raise ValueError("sweeps.fap_cpu entries must be > 0")
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("eval_last_rounds", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+
+@dataclass
+class SweepConfig:
+    """The `sweeps` section: the grids of sweep-mds and sweep-cpu."""
+    mds: list = field(default_factory=lambda: [1, 2, 3])
+    fap_cpu: list = field(default_factory=lambda: [2e9, 5e9, 8e9])
+
+    def __post_init__(self):
+        if any(m < 1 for m in self.mds):
+            raise ValueError("mds entries must be >= 1")
+        if any(f <= 0 for f in self.fap_cpu):
+            raise ValueError("fap_cpu entries must be > 0")
+
+
+@dataclass
+class ExperimentConfig:
+    """A label, an output directory and one dataclass per YAML section;
+    each section checks itself when it is built."""
+    scenario: str = "desk"
+    out_dir: str = "results"
+    env: EnvConfig = field(default_factory=EnvConfig)
+    ddpg: DdpgHyperParams = field(default_factory=DdpgHyperParams)
+    dqn: DqnHyperParams = field(default_factory=DqnHyperParams)
+    run: RunConfig = field(default_factory=RunConfig)
+    sweeps: SweepConfig = field(default_factory=SweepConfig)
 
     def final_eval_episodes(self) -> int:
         """Held-out episodes per eval cell in a final evaluation: the
         eval_episodes budget spread over the FAPs."""
-        return max(1, self.eval_episodes // self.env.num_faps)
+        return max(1, self.run.eval_episodes // self.env.num_faps)
 
+
+SECTIONS = {"env": EnvConfig, "ddpg": DdpgHyperParams, "dqn": DqnHyperParams,
+            "run": RunConfig, "sweeps": SweepConfig}
 
 # Full-size scenario: more cells, more devices, longer runs. Sweep grids
 # bracket the defaults the same way the desk grids do.
@@ -101,10 +120,6 @@ PRESETS = {
     },
 }
 
-_RUN_FIELDS = ("rounds", "seeds", "eval_episodes", "eval_last_rounds",
-               "sweep_rounds", "agent_kinds", "save_checkpoints",
-               "checkpoint_every")
-_SWEEP_FIELDS = {"mds": "md_sweep", "fap_cpu": "fap_cpu_sweep"}
 _KINDS = {bool: "true/false", int: "an integer", float: "a finite number",
           str: "a string", list: "a list", tuple: "a list"}
 
@@ -131,11 +146,10 @@ def _coerce(default, value, where: str):
 
 
 def _build_section(cls, data, section: str):
-    if data is None:
-        data = {}
+    data = {} if data is None else data
     if not isinstance(data, dict):
         raise ValueError(f"config section {section!r} must be a mapping")
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name for f in fields(cls)}
     defaults = cls()
     kwargs = {}
     for key, value in data.items():
@@ -159,35 +173,16 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    known_top = {"scenario", "out_dir", "env", "ddpg", "dqn", "run", "sweeps"}
-    for key in data:
-        if key not in known_top:
+    """Build each section present in `data` through its SECTIONS class."""
+    kwargs = {}
+    for key, value in data.items():
+        if key in SECTIONS:
+            kwargs[key] = _build_section(SECTIONS[key], value, key)
+        elif key in ("scenario", "out_dir"):
+            kwargs[key] = _coerce(getattr(ExperimentConfig, key), value, key)
+        else:
             raise ValueError(f"unknown config field {key}")
-    cfg = ExperimentConfig(
-        env=_build_section(EnvConfig, data.get("env"), "env"),
-        ddpg=_build_section(DdpgHyperParams, data.get("ddpg"), "ddpg"),
-        dqn=_build_section(DqnHyperParams, data.get("dqn"), "dqn"),
-    )
-    for key in ("scenario", "out_dir"):
-        if key in data:
-            setattr(cfg, key, _coerce(getattr(cfg, key), data[key], key))
-    run = data.get("run") or {}
-    if not isinstance(run, dict):
-        raise ValueError("config section 'run' must be a mapping")
-    for key, value in run.items():
-        if key not in _RUN_FIELDS:
-            raise ValueError(f"unknown config field run.{key}")
-        setattr(cfg, key, _coerce(getattr(cfg, key), value, f"run.{key}"))
-    sweeps = data.get("sweeps") or {}
-    if not isinstance(sweeps, dict):
-        raise ValueError("config section 'sweeps' must be a mapping")
-    for key, value in sweeps.items():
-        if key not in _SWEEP_FIELDS:
-            raise ValueError(f"unknown config field sweeps.{key}")
-        name = _SWEEP_FIELDS[key]
-        setattr(cfg, name, _coerce(getattr(cfg, name), value, f"sweeps.{key}"))
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path=None, preset=None, seed=None,
@@ -202,17 +197,15 @@ def load_config(path=None, preset=None, seed=None,
     if path is not None:
         with open(path) as fh:
             loaded = yaml.safe_load(fh)
-        if loaded is None:
-            loaded = {}
+        loaded = {} if loaded is None else loaded
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a mapping")
         data = _deep_merge(data, loaded)
     cfg = config_from_dict(data)
     if seed is not None:
-        cfg.seeds = [int(seed)]
+        cfg = replace(cfg, run=replace(cfg.run, seeds=[int(seed)]))
     if out_dir is not None:
-        cfg.out_dir = str(out_dir)
-    cfg.validate()
+        cfg = replace(cfg, out_dir=str(out_dir))
     return cfg
 
 
@@ -247,16 +240,6 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _policy_for(kind: str):
-    if kind == "local":
-        return lambda env, state: local_policy(state)
-    if kind == "fap-equal":
-        return lambda env, state: equal_policy(state)
-    if kind == "oracle":
-        return oracle_policy
-    raise ValueError(f"kind {kind!r} has no closed-form policy")
-
-
 def run_id_for(cfg: ExperimentConfig, kind: str, seed: int) -> str:
     return f"{cfg.scenario}-{kind}-s{seed}"
 
@@ -272,17 +255,17 @@ class RunOutput:
 
 def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
     """Train (if the kind learns) and evaluate one (kind, seed) cell."""
+    run = cfg.run
     if kind in TRAINED_KINDS:
-        agent_kind = "ddpg" if kind == "fed-ddpg" else "dqn"
         ckpt_dir = None
-        if cfg.save_checkpoints and cfg.out_dir:
+        if run.save_checkpoints and cfg.out_dir:
             ckpt_dir = os.path.join(cfg.out_dir, "checkpoints",
                                     run_id_for(cfg, kind, seed))
         result = run_training(
-            cfg.env, agent_kind, seed, cfg.rounds,
+            cfg.env, TRAINED_KINDS[kind], seed, run.rounds,
             ddpg_hp=cfg.ddpg, dqn_hp=cfg.dqn,
-            eval_last_rounds=cfg.eval_last_rounds,
-            checkpoint_dir=ckpt_dir, checkpoint_every=cfg.checkpoint_every)
+            eval_last_rounds=run.eval_last_rounds,
+            checkpoint_dir=ckpt_dir, checkpoint_every=run.checkpoint_every)
         rows = [(r.round_index, _round12(r.mean_reward), _round12(r.mean_cost),
                  _round12(r.mean_delay), _round12(r.mean_energy))
                 for r in result.reports]
@@ -294,12 +277,12 @@ def _run_cell(cfg: ExperimentConfig, kind: str, seed: int) -> RunOutput:
                 if not math.isnan(r.eval_cost)]
         tail_cost = float(np.mean(tail)) if tail else float("nan")
     else:
-        metrics = evaluate_policy(_policy_for(kind),
+        metrics = evaluate_policy(FIXED_POLICIES[kind],
                                   make_eval_envs(cfg.env, seed),
                                   cfg.final_eval_episodes())
         # no training: the "curve" is the constant evaluated level
         rows = [(j + 1, *(_round12(v) for v in metrics))
-                for j in range(cfg.rounds)]
+                for j in range(run.rounds)]
         final_eval = metrics
         tail_cost = metrics[1]
     final_eval = tuple(_round12(v) for v in final_eval)
@@ -324,8 +307,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     and population std over seeds, recomputable from the per-run files), a
     per-run eval CSV, and its aggregate. Failures in any cell propagate.
     """
-    cfg.validate()
-    cells = [(kind, seed) for kind in cfg.agent_kinds for seed in cfg.seeds]
+    run = cfg.run
+    cells = [(kind, seed) for kind in run.agent_kinds for seed in run.seeds]
     outputs = fork_map(lambda i: _run_cell(cfg, *cells[i]), len(cells),
                        "cell")
     runs = {(o.kind, o.seed): o for o in outputs}
@@ -340,24 +323,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         files.append(path)
 
     agg_rows = []
-    for kind in cfg.agent_kinds:
-        per_seed = [runs[(kind, s)].rows for s in cfg.seeds]
-        for j in range(cfg.rounds):
+    for kind in run.agent_kinds:
+        per_seed = [runs[(kind, s)].rows for s in run.seeds]
+        for j in range(run.rounds):
             agg_rows.append((kind, per_seed[0][j][0], *_seed_stats(
                 [rows[j][1:] for rows in per_seed])))
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
     write_csv(agg_path, ["kind", "round", *_STAT_COLUMNS], agg_rows)
     files.append(agg_path)
 
-    eval_rows = [(run_id_for(cfg, k, s), s, cfg.rounds, *runs[(k, s)].final_eval)
+    eval_rows = [(run_id_for(cfg, k, s), s, run.rounds, *runs[(k, s)].final_eval)
                  for k, s in cells]
     eval_path = os.path.join(cfg.out_dir, "eval.csv")
     write_csv(eval_path, CSV_COLUMNS, eval_rows)
     files.append(eval_path)
 
     eval_agg_rows = [(kind, *_seed_stats([runs[(kind, s)].final_eval
-                                          for s in cfg.seeds]))
-                     for kind in cfg.agent_kinds]
+                                          for s in run.seeds]))
+                     for kind in run.agent_kinds]
     eval_agg_path = os.path.join(cfg.out_dir, "eval-aggregate.csv")
     write_csv(eval_agg_path, ["kind", *_STAT_COLUMNS], eval_agg_rows)
     files.append(eval_agg_path)
@@ -366,21 +349,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
-    """Shared sweep loop: one run_experiment per grid value, whose
-    eval-aggregate rows become the sweep's rows."""
-    cfg.validate()
+    """Shared sweep loop: one run_experiment per grid value, each trained
+    for run.sweep_rounds rounds, whose eval-aggregate rows become the
+    sweep's rows."""
+    run = replace(cfg.run, rounds=cfg.run.sweep_rounds, eval_last_rounds=0,
+                  save_checkpoints=False)
     per_run_rows = []
     agg_rows = []
     for value in values:
-        sub = replace(cfg,
-                      env=apply_value(cfg.env, value),
-                      rounds=cfg.sweep_rounds,
-                      eval_last_rounds=0,
-                      save_checkpoints=False,
+        sub = replace(cfg, env=apply_value(cfg.env, value), run=run,
                       out_dir=os.path.join(cfg.out_dir, f"{label}-{_fmt(value)}"))
         result = run_experiment(sub)
         per_run_rows += [(value, kind, s, *result.runs[(kind, s)].final_eval)
-                         for kind in cfg.agent_kinds for s in cfg.seeds]
+                         for kind in run.agent_kinds for s in run.seeds]
         agg_rows += [(value, *row) for row in result.eval_aggregate]
     runs_path = os.path.join(cfg.out_dir, f"sweep-{label}-runs.csv")
     agg_path = os.path.join(cfg.out_dir, f"sweep-{label}.csv")
@@ -389,17 +370,15 @@ def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
     return agg_path, agg_rows
 
 
-def sweep_mds(cfg: ExperimentConfig, m_list=None):
+def sweep_mds(cfg: ExperimentConfig):
     """Evaluated cost of every kind as the number of MDs per cell grows."""
-    values = list(m_list) if m_list is not None else list(cfg.md_sweep)
-    return _sweep(cfg, values, "num_mds",
+    return _sweep(cfg, cfg.sweeps.mds, "num_mds",
                   lambda env, m: replace(env, mds_per_fap=int(m)))
 
 
-def sweep_fap_cpu(cfg: ExperimentConfig, f_list=None):
+def sweep_fap_cpu(cfg: ExperimentConfig):
     """Evaluated cost of every kind as the FAP CPU frequency grows."""
-    values = list(f_list) if f_list is not None else list(cfg.fap_cpu_sweep)
-    return _sweep(cfg, values, "fap_cpu",
+    return _sweep(cfg, cfg.sweeps.fap_cpu, "fap_cpu",
                   lambda env, f: replace(env, fap_cpu=float(f)))
 
 

@@ -23,8 +23,8 @@ from fedfog.env import (ActionVector, EnvConfig, FogCellEnv, sanitize_action,
 from fedfog.federated import (build_agent, evaluate_policy,
                               federated_average, fork_map, make_eval_envs,
                               run_training)
-from fedfog.harness import (ExperimentConfig, rounds_to_threshold,
-                            sweep_fap_cpu, sweep_mds)
+from fedfog.harness import (ExperimentConfig, RunConfig, SweepConfig,
+                            rounds_to_threshold, sweep_fap_cpu, sweep_mds)
 from fedfog.nn import backward, flatten_mlp, forward, init_mlp
 from oracles import (central_difference, grid_min_weighted_inverse,
                      grid_slot_optimum, grid_slot_optimum_joint,
@@ -296,15 +296,20 @@ def test_criterion_6_ddpg_vs_dqn_rounds(desk_runs, capsys):
 def sweep_rows(tmp_path_factory):
     base = tmp_path_factory.mktemp("sweeps")
     cfg = ExperimentConfig(env=DESK, ddpg=ACCEPT_DDPG, dqn=ACCEPT_DQN,
-                           seeds=list(SEEDS), sweep_rounds=40,
-                           eval_episodes=20, save_checkpoints=False,
+                           run=RunConfig(seeds=list(SEEDS), sweep_rounds=40,
+                                         eval_episodes=20,
+                                         save_checkpoints=False),
+                           sweeps=SweepConfig(mds=[1, 2, 3]),
                            out_dir=str(base / "m"))
-    _, m_rows = sweep_mds(cfg, [1, 2, 3])
-    cfg_f = ExperimentConfig(env=DESK, seeds=list(SEEDS), sweep_rounds=1,
-                             eval_episodes=20, save_checkpoints=False,
-                             agent_kinds=["local", "fap-equal"],
+    _, m_rows = sweep_mds(cfg)
+    cfg_f = ExperimentConfig(env=DESK,
+                             run=RunConfig(seeds=list(SEEDS), sweep_rounds=1,
+                                           eval_episodes=20,
+                                           save_checkpoints=False,
+                                           agent_kinds=["local", "fap-equal"]),
+                             sweeps=SweepConfig(fap_cpu=[2e9, 5e9, 8e9]),
                              out_dir=str(base / "f"))
-    _, f_rows = sweep_fap_cpu(cfg_f, [2e9, 5e9, 8e9])
+    _, f_rows = sweep_fap_cpu(cfg_f)
     return m_rows, f_rows
 
 

@@ -70,6 +70,12 @@ class TestSelectAction:
         agent.end_episode()
         assert agent.noise_std == pytest.approx(0.04)
 
+    def test_floor_above_the_start_leaves_the_noise_alone(self):
+        agent = make_agent(noise_std=0.0, noise_floor=0.01)
+        for _ in range(3):
+            agent.end_episode()
+            assert agent.noise_std == 0.0
+
 
 class TestDecodeShares:
     def split(self, raw):
@@ -486,6 +492,14 @@ class TestWeightExchange:
         small = make_agent(num_mds=1, seed=25)
         with pytest.raises(ValueError):
             agent.load_global(small.export_weights())
+
+    def test_other_layout_of_the_same_size_rejected(self):
+        # hidden (2, 8) and (4, 3) hold the same number of values
+        agent = make_agent(num_mds=1, seed=24, hidden=(2, 8))
+        other = make_agent(num_mds=1, seed=25, hidden=(4, 3)).export_weights()
+        assert other.values.size == agent.online.size
+        with pytest.raises(ValueError, match="is not the agent's layout"):
+            agent.load_global(other)
 
     def test_upload_holds_online_nets_only(self):
         agent = make_agent(num_mds=1, seed=26)

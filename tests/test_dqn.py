@@ -149,6 +149,13 @@ class TestSelect:
         agent.end_episode()
         assert agent.epsilon == pytest.approx(0.15)
 
+    def test_floor_above_the_start_leaves_epsilon_alone(self):
+        agent = DqnAgent(4, 1, tiny_hp(epsilon_start=0.0, epsilon_floor=1.0),
+                         seed=4)
+        for _ in range(3):
+            agent.end_episode()
+            assert agent.epsilon == 0.0
+
 
 class TestTdUpdate:
     def constant_nets(self, agent, online, target):

@@ -16,11 +16,12 @@ from fedfog.ddpg import DdpgAgent, DdpgHyperParams
 from fedfog.dqn import DqnHyperParams
 from fedfog.env import EnvConfig
 from fedfog.federated import (ClientProcessError, GlobalModel, RoundReport,
-                              build_agent, evaluate_policy, federated_average,
-                              fork_map, load_round_checkpoint, make_eval_envs,
+                              build_agent, evaluate_global, evaluate_policy,
+                              federated_average, fork_map,
+                              load_round_checkpoint, make_eval_envs,
                               run_round, run_training, save_round_checkpoint,
                               setup_federation)
-from fedfog.harness import ExperimentConfig, run_experiment
+from fedfog.harness import ExperimentConfig, RunConfig, run_experiment
 from fedfog.nn import FlatWeights, flatten_mlp, init_mlp, shared_zeros
 
 
@@ -308,8 +309,9 @@ def experiment_files(root):
     """Run a small 5-kind, 2-seed experiment into `root`; its files' bytes
     by relative path."""
     cfg = ExperimentConfig(env=small_env(), ddpg=small_ddpg(), dqn=small_dqn(),
-                           rounds=3, seeds=[1, 2], eval_episodes=2,
-                           eval_last_rounds=1, out_dir=str(root))
+                           run=RunConfig(rounds=3, seeds=[1, 2],
+                                         eval_episodes=2, eval_last_rounds=1),
+                           out_dir=str(root))
     run_experiment(cfg)
     return {p.relative_to(root): p.read_bytes()
             for p in root.rglob("*") if p.is_file()}
@@ -537,10 +539,10 @@ class TestForkMap:
             return run_cell(cfg, kind, seed)
 
         monkeypatch.setattr(harness, "_run_cell", fail_one)
-        cfg = ExperimentConfig(env=small_env(), agent_kinds=["local",
-                                                             "fap-equal"],
-                               rounds=2, seeds=[1, 2], eval_episodes=2,
-                               out_dir=str(tmp_path))
+        cfg = ExperimentConfig(env=small_env(), out_dir=str(tmp_path),
+                               run=RunConfig(agent_kinds=["local", "fap-equal"],
+                                             rounds=2, seeds=[1, 2],
+                                             eval_episodes=2))
         with pytest.raises(RuntimeError, match="cell broke") as info:
             run_experiment(cfg)
         assert isinstance(info.value.__cause__, ClientProcessError)
@@ -609,6 +611,20 @@ class TestCheckpoints:
         agent.load_global(loaded.weights)
         metrics = evaluate_policy(agent.policy(), make_eval_envs(cfg, 14))
         assert np.isfinite(metrics[1])
+
+    def test_checkpoint_of_another_layout_refused(self, tmp_path):
+        # desk DDPG holds 74,710 values at hidden (300, 100) and (120, 275)
+        cfg = EnvConfig()
+        agent = build_agent("ddpg", cfg, 0, DdpgHyperParams(hidden=(300, 100)))
+        path = tmp_path / "model.ckpt"
+        save_round_checkpoint(path, GlobalModel(agent.export_weights(), 1,
+                                                "ddpg"))
+        model = load_round_checkpoint(path)
+        other = DdpgHyperParams(hidden=(120, 275))
+        assert build_agent("ddpg", cfg, 0, other).online.size == 74710
+        assert model.weights.values.size == 74710
+        with pytest.raises(ValueError, match="is not the agent's layout"):
+            evaluate_global(model, cfg, make_eval_envs(cfg, 1), 1, other, None)
 
     def test_layout_hash_guard(self, tmp_path):
         from fedfog.nn import save_checkpoint

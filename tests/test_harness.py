@@ -4,7 +4,7 @@ import csv
 import math
 import re
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,9 @@ from fedfog.ddpg import DdpgHyperParams
 from fedfog.dqn import DqnHyperParams
 from fedfog.env import EnvConfig
 from fedfog.federated import run_training
-from fedfog.harness import (_RUN_FIELDS, _SWEEP_FIELDS, CSV_COLUMNS,
-                            ExperimentConfig, config_from_dict, load_config,
-                            rounds_to_threshold, run_experiment,
+from fedfog.harness import (CSV_COLUMNS, SECTIONS, ExperimentConfig,
+                            RunConfig, SweepConfig, config_from_dict,
+                            load_config, rounds_to_threshold, run_experiment,
                             sweep_fap_cpu, sweep_mds, write_csv)
 
 TINY_YAML = textwrap.dedent("""\
@@ -56,9 +56,14 @@ def tiny_cfg_path(tmp_path):
 def tiny_cfg(tmp_path, **over):
     data = yaml.safe_load(TINY_YAML)
     data.update(over)
-    cfg = config_from_dict(data)
-    cfg.out_dir = str(tmp_path / "out")
-    return cfg
+    return replace(config_from_dict(data), out_dir=str(tmp_path / "out"))
+
+
+def sweep_cfg(tmp_path, kinds, sweeps):
+    """The tiny config at one training round per grid point."""
+    cfg = tiny_cfg(tmp_path)
+    return replace(cfg, run=replace(cfg.run, agent_kinds=kinds,
+                                    sweep_rounds=1), sweeps=sweeps)
 
 
 def read_rows(path):
@@ -69,8 +74,8 @@ def read_rows(path):
 class TestConfigLoading:
     def test_defaults(self):
         cfg = load_config()
-        assert cfg.rounds == 200
-        assert cfg.seeds == [1, 2, 3]
+        assert cfg.run.rounds == 200
+        assert cfg.run.seeds == [1, 2, 3]
         assert cfg.env.num_faps == 2
         assert cfg.ddpg.hidden == (300, 100)
 
@@ -81,10 +86,9 @@ class TestConfigLoading:
         assert cfg.env.steps_per_episode == 5
         assert cfg.ddpg.hidden == (8, 8)
         assert cfg.dqn.batch_size == 8
-        assert cfg.rounds == 2
-        assert cfg.seeds == [1, 2]
-        assert cfg.md_sweep == [1, 2]
-        assert cfg.fap_cpu_sweep == [4.0e9, 8.0e9]
+        assert cfg.run.rounds == 2
+        assert cfg.run.seeds == [1, 2]
+        assert cfg.sweeps == SweepConfig(mds=[1, 2], fap_cpu=[4.0e9, 8.0e9])
 
     def test_plain_scientific_literal_coerced(self):
         # pyyaml parses bare 1e7 as a string; the loader must still accept it
@@ -93,7 +97,7 @@ class TestConfigLoading:
 
     def test_int_field_accepts_whole_float(self):
         cfg = config_from_dict({"run": {"rounds": 3.0}})
-        assert cfg.rounds == 3
+        assert cfg.run.rounds == 3
 
     def test_int_field_rejects_fraction(self):
         with pytest.raises(ValueError, match="run.rounds"):
@@ -123,8 +127,8 @@ class TestConfigLoading:
         cfg = load_config(path=str(over), preset="paper-scale",
                           seed=9, out_dir="elsewhere")
         assert cfg.env.num_faps == 4          # from the preset
-        assert cfg.rounds == 7                # file overrides preset
-        assert cfg.seeds == [9]               # CLI overrides file
+        assert cfg.run.rounds == 7            # file overrides preset
+        assert cfg.run.seeds == [9]           # CLI overrides file
         assert cfg.out_dir == "elsewhere"
 
     def test_unknown_preset(self):
@@ -140,6 +144,14 @@ class TestConfigLoading:
             config_from_dict({"run": {"rounds": 0}})
         with pytest.raises(ValueError, match="sweeps.mds"):
             config_from_dict({"sweeps": {"mds": [0, 1]}})
+
+    def test_sections_check_themselves_when_built(self):
+        with pytest.raises(ValueError, match="^rounds must be >= 1"):
+            RunConfig(rounds=0)
+        with pytest.raises(ValueError, match="^seeds must be a non-empty"):
+            replace(ExperimentConfig().run, seeds=[])
+        with pytest.raises(ValueError, match="^mds entries must be >= 1"):
+            SweepConfig(mds=[0])
 
     @pytest.mark.parametrize("field,text", [
         ("env.bandwidth", ".nan"), ("env.bandwidth", "nan"),
@@ -181,12 +193,13 @@ class TestConfigLoading:
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         data = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```")[0])
         assert config_from_dict(data) == ExperimentConfig()
-        for section, cls in (("env", EnvConfig), ("ddpg", DdpgHyperParams),
-                             ("dqn", DqnHyperParams)):
+        sections = {"env": EnvConfig, "ddpg": DdpgHyperParams,
+                    "dqn": DqnHyperParams, "run": RunConfig,
+                    "sweeps": SweepConfig}
+        assert SECTIONS == sections
+        for section, cls in sections.items():
             assert sorted(data[section]) == sorted(f.name
                                                    for f in fields(cls))
-        assert sorted(data["run"]) == sorted(_RUN_FIELDS)
-        assert sorted(data["sweeps"]) == sorted(_SWEEP_FIELDS)
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -221,8 +234,8 @@ class TestRunExperiment:
     def test_files_written(self, result):
         import os
         names = sorted(os.path.basename(p) for p in result.files)
-        kinds = result.config.agent_kinds
-        seeds = result.config.seeds
+        kinds = result.config.run.agent_kinds
+        seeds = result.config.run.seeds
         expected = sorted([f"tiny-{k}-s{s}.csv" for k in kinds for s in seeds]
                           + ["aggregate.csv", "eval.csv",
                              "eval-aggregate.csv"])
@@ -247,13 +260,13 @@ class TestRunExperiment:
                                              abs=1e-9)
 
     def test_aggregate_recomputable_exactly(self, result):
-        cfg = result.config
+        run = result.config.run
         agg = {(r[0], r[1]): r[2:] for r in read_rows(
             [p for p in result.files if p.endswith("aggregate.csv")
              and "eval" not in p][0])[1:]}
         per_run = {}
-        for kind in cfg.agent_kinds:
-            for seed in cfg.seeds:
+        for kind in run.agent_kinds:
+            for seed in run.seeds:
                 path = [p for p in result.files
                         if p.endswith(f"tiny-{kind}-s{seed}.csv")][0]
                 per_run[(kind, seed)] = read_rows(path)[1:]
@@ -262,14 +275,14 @@ class TestRunExperiment:
             j = int(rnd) - 1
             for col in range(4):
                 vals = np.array([float(per_run[(kind, s)][j][3 + col])
-                                 for s in cfg.seeds])
+                                 for s in run.seeds])
                 assert cells[2 * col] == fmt(vals.mean())
                 assert cells[2 * col + 1] == fmt(vals.std())
 
     def test_baseline_curves_are_flat(self, result):
         path = [p for p in result.files if p.endswith("tiny-local-s1.csv")][0]
         rows = read_rows(path)[1:]
-        assert len(rows) == result.config.rounds
+        assert len(rows) == result.config.run.rounds
         assert len({r[4] for r in rows}) == 1
 
     def test_repeat_is_byte_identical(self, tmp_path):
@@ -311,10 +324,8 @@ class TestRunExperiment:
 
 class TestSweeps:
     def test_md_sweep_structure(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        cfg.agent_kinds = ["local", "fap-equal"]
-        cfg.sweep_rounds = 1
-        path, rows = sweep_mds(cfg, m_list=[1, 2])
+        path, rows = sweep_mds(sweep_cfg(tmp_path, ["local", "fap-equal"],
+                                         SweepConfig(mds=[1, 2])))
         assert len(rows) == 4                 # 2 values x 2 kinds
         header = read_rows(path)[0]
         assert header[:2] == ["num_mds", "kind"]
@@ -322,20 +333,16 @@ class TestSweeps:
         assert all(np.isfinite(row[2]) for row in rows)
 
     def test_cpu_sweep_runs(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        cfg.agent_kinds = ["local", "oracle"]
-        cfg.sweep_rounds = 1
-        path, rows = sweep_fap_cpu(cfg, f_list=[4e9, 8e9])
+        path, rows = sweep_fap_cpu(sweep_cfg(tmp_path, ["local", "oracle"],
+                                             SweepConfig(fap_cpu=[4e9, 8e9])))
         assert len(rows) == 4
         # offloading gets cheaper with a faster FAP, staying local does not
         orc = [r for r in rows if r[1] == "oracle"]
         assert orc[1][2 + 2 * 1] <= orc[0][2 + 2 * 1]
 
     def test_sweep_rows_are_the_eval_aggregates(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        cfg.agent_kinds = ["local", "fap-equal", "oracle"]
-        cfg.sweep_rounds = 1
-        path, _ = sweep_mds(cfg, m_list=[1, 2])
+        path, _ = sweep_mds(sweep_cfg(tmp_path, ["local", "fap-equal", "oracle"],
+                                      SweepConfig(mds=[1, 2])))
         sweep = read_rows(path)
         want = []
         for m in ("1", "2"):
@@ -366,7 +373,7 @@ class TestCli:
         # the tail is the mean eval cost of the last run.eval_last_rounds
         # rounds; for an untrained kind it is its eval cost
         cfg = load_config(tiny_cfg_path)
-        tail = run_training(cfg.env, "ddpg", 1, cfg.rounds, ddpg_hp=cfg.ddpg,
+        tail = run_training(cfg.env, "ddpg", 1, cfg.run.rounds, ddpg_hp=cfg.ddpg,
                             eval_last_rounds=1).reports[-1].eval_cost
         ddpg_line = next(line for line in captured.out.splitlines()
                          if line.startswith("fed-ddpg:"))
