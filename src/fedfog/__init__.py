@@ -26,8 +26,7 @@ from .harness import (ExperimentConfig, ExperimentResult, RunConfig,
                       SweepConfig, load_config, run_experiment, sweep_fap_cpu,
                       sweep_mds)
 from .nn import (AdamState, FlatWeights, Mlp, adam_step, backward,
-                 flatten_mlp, forward, init_mlp, load_checkpoint, pack,
-                 save_checkpoint)
+                 flatten_mlp, forward, init_mlp, pack)
 from .replay import ReplayBuffer, Transition
 
 __version__ = "0.1.0"

@@ -123,10 +123,6 @@ class EnvConfig:
         return 5 * self.mds_per_fap + 2
 
     @property
-    def action_dim(self) -> int:
-        return 3 * self.mds_per_fap
-
-    @property
     def fap_position(self) -> np.ndarray:      # m, the cell centre
         return np.full(2, self.cell_side / 2.0)
 

@@ -3,11 +3,11 @@
 Each round every agent downloads the global weights, trains locally on its
 own cell, and uploads its online networks; the coordinator element-wise
 averages the uploads and broadcasts the result, and each agent resets its
-target networks to the broadcast. Only flat weight vectors ever cross the
-agent boundary: transitions, states, and task data stay local, and so do the
-optimizer moments and replay buffers (averaging moments across agents has no
-sound interpretation, and clearing replay every round would throw away nearly
-all experience).
+target networks to the broadcast. Only the online weight vectors are
+averaged; replay buffers, optimizer moments and task data never are
+(averaging moments across agents has no sound interpretation, and clearing
+replay every round would throw away nearly all experience), though in a
+forked round each agent's and env's whole state comes back to the parent.
 
 Local training runs concurrently through fork_map, in up to one child
 process per usable CPU, forked for each round; processes, unlike threads,
@@ -30,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import io
+import json
 import os
 import pickle
 import signal
@@ -43,10 +44,12 @@ import numpy as np
 from .ddpg import DdpgAgent, DdpgHyperParams
 from .dqn import DqnAgent, DqnHyperParams
 from .env import EnvConfig, FogCellEnv, rollout_episode
-from .nn import (FlatWeights, from_shared_ref, load_checkpoint,
-                 save_checkpoint, shared_arrays, shared_ref)
+from .nn import FlatWeights, from_shared_ref, shared_arrays, shared_ref
 
 AGENT_KINDS = ("ddpg", "dqn")
+
+_CKPT_MAGIC = b"FWCK"
+_CKPT_VERSION = 2       # 2: online nets only; 1 also stored the target nets
 
 
 @dataclass
@@ -373,7 +376,7 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
     policy is also evaluated greedily on held-out episodes and recorded as
     eval_cost.
     With a checkpoint_dir the final global model is always written; setting
-    checkpoint_every > 0 additionally snapshots every k-th round.
+    checkpoint_every > 0 additionally snapshots every k-th round, each once.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -387,13 +390,10 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
             greedy.load_global(model.weights)
             report.eval_cost = evaluate_policy(greedy.policy(), eval_envs)[1]
         reports.append(report)
-        if checkpoint_dir is not None and checkpoint_every > 0 \
-                and (j + 1) % checkpoint_every == 0:
+        if checkpoint_dir is not None and (
+                j + 1 == rounds
+                or checkpoint_every > 0 and (j + 1) % checkpoint_every == 0):
             _write_checkpoint(checkpoint_dir, model)
-    # unless the last round's snapshot above has just written it
-    if checkpoint_dir is not None and (checkpoint_every < 1
-                                       or rounds % checkpoint_every):
-        _write_checkpoint(checkpoint_dir, model)
     return TrainingResult(reports, model)
 
 
@@ -428,16 +428,47 @@ def evaluate_global(model: GlobalModel, env_cfg: EnvConfig, eval_envs,
 
 
 def save_round_checkpoint(path, model: GlobalModel) -> None:
-    """Persist a global model with its round header."""
-    save_checkpoint(path, model.weights, meta={
-        "round": model.round_index,
-        "agent_kind": model.agent_kind,
-        "layout_hash": model.weights.layout_hash(),
-    })
+    """Write `model` as magic, version, a JSON header (the weight layout, and
+    meta: round, agent kind, layout hash) and the little-endian f64 values."""
+    flat = model.weights
+    header = json.dumps({
+        "shapes": [list(s) for s in flat.shapes],
+        "offsets": flat.offsets,
+        "activations": flat.activations,
+        "meta": {"round": model.round_index, "agent_kind": model.agent_kind,
+                 "layout_hash": flat.layout_hash()},
+    }, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header)))
+        fh.write(header)
+        fh.write(struct.pack("<Q", flat.values.size))
+        fh.write(flat.values.astype("<f8").tobytes())
 
 
 def load_round_checkpoint(path) -> GlobalModel:
-    flat, meta = load_checkpoint(path)
+    """Read and check a save_round_checkpoint file. One that is not such a
+    file, has another version, is truncated or malformed, or lacks a meta key
+    raises ValueError naming `path`; a layout unlike its hash, ValueError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != _CKPT_MAGIC:
+        raise ValueError(f"{path} is not a weight checkpoint")
+    try:
+        version, hlen = struct.unpack_from("<II", blob, 4)
+        if version == _CKPT_VERSION:
+            header = json.loads(blob[12:12 + hlen])
+            (count,) = struct.unpack_from("<Q", blob, 12 + hlen)
+            flat = FlatWeights(
+                np.frombuffer(blob, "<f8", count, 20 + hlen).astype(float),
+                [tuple(s) for s in header["shapes"]],
+                list(header["offsets"]), list(header["activations"]))
+            meta = header.get("meta", {})
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is truncated or malformed: "
+                         f"{type(exc).__name__}: {exc}") from None
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path} has checkpoint version {version}; this "
+                         f"build reads version {_CKPT_VERSION} only")
     for key in ("round", "agent_kind", "layout_hash"):
         if key not in meta:
             raise ValueError(f"{path} lacks checkpoint meta key {key!r}")

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from .baselines import equal_policy, local_policy, oracle_policy
+from .baselines import (ORACLE_MAX_MDS, equal_policy, local_policy,
+                        oracle_policy)
 from .ddpg import DdpgHyperParams
 from .dqn import DqnHyperParams
 from .env import EnvConfig
@@ -66,6 +67,10 @@ class RunConfig:
         if not self.agent_kinds or not set(self.agent_kinds) <= set(ALL_KINDS):
             raise ValueError(f"agent_kinds must be a non-empty list of kinds "
                              f"from {ALL_KINDS}, got {self.agent_kinds!r}")
+        for name in ("seeds", "agent_kinds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat, got {values!r}")
         for name in ("rounds", "eval_episodes", "sweep_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -298,6 +303,14 @@ class ExperimentResult:
     eval_aggregate: list        # rows of eval-aggregate.csv
 
 
+def _check_oracle_fits(cfg: ExperimentConfig, mds, where: str) -> None:
+    """Refuse an oracle cell with more MDs than the oracle can enumerate."""
+    m = max(mds, default=0)
+    if "oracle" in cfg.run.agent_kinds and m > ORACLE_MAX_MDS:
+        raise ValueError(f"{where} {m} exceeds ORACLE_MAX_MDS={ORACLE_MAX_MDS};"
+                         f" drop 'oracle' from run.agent_kinds")
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every (agent kind, seed) cell and persist the metric CSVs.
 
@@ -305,9 +318,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     one after another in this process; each cell's numbers are the same
     either way. Writes one curve CSV per run, an aggregate curve CSV (mean
     and population std over seeds, recomputable from the per-run files), a
-    per-run eval CSV, and its aggregate. Failures in any cell propagate.
+    per-run eval CSV, and its aggregate. Failures in any cell propagate; an
+    oracle cell the oracle cannot enumerate is refused before any cell runs.
     """
     run = cfg.run
+    _check_oracle_fits(cfg, [cfg.env.mds_per_fap], "env.mds_per_fap")
     cells = [(kind, seed) for kind in run.agent_kinds for seed in run.seeds]
     outputs = fork_map(lambda i: _run_cell(cfg, *cells[i]), len(cells),
                        "cell")
@@ -372,6 +387,7 @@ def _sweep(cfg: ExperimentConfig, values, label: str, apply_value):
 
 def sweep_mds(cfg: ExperimentConfig):
     """Evaluated cost of every kind as the number of MDs per cell grows."""
+    _check_oracle_fits(cfg, cfg.sweeps.mds, "sweeps.mds entry")
     return _sweep(cfg, cfg.sweeps.mds, "num_mds",
                   lambda env, m: replace(env, mds_per_fap=int(m)))
 

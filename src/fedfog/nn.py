@@ -1,4 +1,4 @@
-"""Dense networks with hand-derived backprop, Adam, and flat-weight I/O.
+"""Dense networks with hand-derived backprop, Adam, and flat weights.
 
 Fixed-topology MLPs are all the agents need, so there is no autograd graph:
 forward caches each layer's activations, and backward replays the chain rule
@@ -12,16 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import struct
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
-
-_CKPT_MAGIC = b"FWCK"
-_CKPT_VERSION = 2       # 2: online nets only; 1 also stored the target nets
 
 
 @dataclass
@@ -328,48 +324,3 @@ def flatten_mlp(*nets: Mlp) -> FlatWeights:
         activations.extend(net.activations)
     values = np.concatenate([net.params for net in nets])
     return FlatWeights(values, shapes, offsets, activations)
-
-
-def save_checkpoint(path, flat: FlatWeights, meta: dict | None = None) -> None:
-    """Write layout header (JSON) plus the raw little-endian f64 values."""
-    header = {
-        "shapes": [list(s) for s in flat.shapes],
-        "offsets": list(flat.offsets),
-        "activations": list(flat.activations),
-        "meta": meta or {},
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<Q", flat.values.size))
-        fh.write(flat.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> tuple[FlatWeights, dict]:
-    """Read a save_checkpoint file. A file that is not one, has another
-    version, or is truncated or malformed raises ValueError naming `path`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a weight checkpoint")
-    try:
-        version, hlen = struct.unpack_from("<II", blob, 4)
-        if version == _CKPT_VERSION:
-            header = json.loads(blob[12:12 + hlen])
-            (count,) = struct.unpack_from("<Q", blob, 12 + hlen)
-            values = np.frombuffer(blob, "<f8", count, 20 + hlen)
-            flat = FlatWeights(values.astype(float),
-                               [tuple(s) for s in header["shapes"]],
-                               list(header["offsets"]),
-                               list(header["activations"]))
-            meta = header.get("meta", {})
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is truncated or malformed: "
-                         f"{type(exc).__name__}: {exc}") from None
-    if version != _CKPT_VERSION:
-        raise ValueError(f"{path} has checkpoint version {version}; this "
-                         f"build reads version {_CKPT_VERSION} only")
-    return flat, meta

@@ -57,7 +57,6 @@ class TestConfig:
     def test_dims(self):
         cfg = EnvConfig(mds_per_fap=5)
         assert cfg.state_dim == 27
-        assert cfg.action_dim == 15
 
     def test_validation_names_field(self):
         with pytest.raises(ValueError, match="bandwidth"):
@@ -379,7 +378,7 @@ class TestFlatten:
         raw = np.arange(3.0 * m)
         state_maps, action_maps = md_rotations(m)
         assert state_maps.shape == (m, cfg.state_dim)
-        assert action_maps.shape == (m, cfg.action_dim)
+        assert action_maps.shape == (m, 3 * cfg.mds_per_fap)
         np.testing.assert_array_equal(state_maps[0], np.arange(cfg.state_dim))
         for k in range(m):
             p = (np.arange(m) + k) % m
@@ -408,7 +407,8 @@ class TestEnvLifecycle:
     def test_identical_action_sequence_identical_rewards(self):
         cfg = EnvConfig()
         rng = np.random.default_rng(11)
-        raws = [rng.uniform(0, 1, size=cfg.action_dim) for _ in range(10)]
+        raws = [rng.uniform(0, 1, size=3 * cfg.mds_per_fap)
+                for _ in range(10)]
         seqs = []
         for _ in range(2):
             env = FogCellEnv(cfg, seed=21)
@@ -439,7 +439,7 @@ class TestEnvLifecycle:
             reward = cost = delay = energy = 0.0
             for _ in range(cfg.steps_per_episode):
                 r, _ = env.step(sanitize_action(
-                    rng.uniform(0, 1, size=cfg.action_dim)))
+                    rng.uniform(0, 1, size=3 * cfg.mds_per_fap)))
                 reward += r
                 cost += env.last_cost.cost
                 delay += env.last_cost.total_delay

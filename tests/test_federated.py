@@ -1,5 +1,6 @@
 """Weight averaging and the synchronous round protocol."""
 
+import json
 import os
 import signal
 import struct
@@ -23,6 +24,20 @@ from fedfog.federated import (ClientProcessError, GlobalModel, RoundReport,
                               setup_federation)
 from fedfog.harness import ExperimentConfig, RunConfig, run_experiment
 from fedfog.nn import FlatWeights, flatten_mlp, init_mlp, shared_zeros
+
+
+def write_checkpoint_bytes(path, flat, meta=None):
+    """A version-2 checkpoint file built by hand: magic, version, header
+    length, the JSON header (with `meta` where given), value count, values."""
+    header = {"shapes": [list(s) for s in flat.shapes],
+              "offsets": list(flat.offsets),
+              "activations": list(flat.activations)}
+    if meta is not None:
+        header["meta"] = meta
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"FWCK" + struct.pack("<II", 2, len(text)) + text
+                     + struct.pack("<Q", flat.values.size)
+                     + flat.values.astype("<f8").tobytes())
 
 
 def small_env(**over):
@@ -592,15 +607,19 @@ class TestCheckpoints:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ddpg-round00002.ckpt", "ddpg-round00004.ckpt"]
 
-    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("rounds, every, written", [
+        (4, 2, [2, 4]), (5, 2, [2, 4, 5]), (3, 0, [3])],
+        ids=["4-2", "5-2", "3-0"])
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch,
+                                           rounds, every, written):
         paths = []
         monkeypatch.setattr(fed, "save_round_checkpoint",
                             lambda path, model: paths.append(path))
-        run_training(small_env(), "ddpg", seed=13, rounds=4,
+        run_training(small_env(), "ddpg", seed=13, rounds=rounds,
                      ddpg_hp=small_ddpg(), checkpoint_dir=tmp_path,
-                     checkpoint_every=2)
+                     checkpoint_every=every)
         assert [os.path.basename(p) for p in paths] == [
-            "ddpg-round00002.ckpt", "ddpg-round00004.ckpt"]
+            f"ddpg-round{j:05d}.ckpt" for j in written]
 
     def test_loaded_model_is_usable(self, tmp_path):
         cfg = small_env()
@@ -626,14 +645,22 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="is not the agent's layout"):
             evaluate_global(model, cfg, make_eval_envs(cfg, 1), 1, other, None)
 
-    def test_layout_hash_guard(self, tmp_path):
-        from fedfog.nn import save_checkpoint
+    def test_saved_bytes_follow_the_format(self, tmp_path):
+        flat = flatten_mlp(init_mlp(np.random.default_rng(15), [3, 4, 2],
+                                    "linear"))
+        saved, built = tmp_path / "saved.ckpt", tmp_path / "built.ckpt"
+        save_round_checkpoint(saved, GlobalModel(flat, 3, "dqn"))
+        write_checkpoint_bytes(built, flat, meta={
+            "round": 3, "agent_kind": "dqn",
+            "layout_hash": flat.layout_hash()})
+        assert saved.read_bytes() == built.read_bytes()
 
+    def test_layout_hash_guard(self, tmp_path):
         rng = np.random.default_rng(15)
         flat = flatten_mlp(init_mlp(rng, [3, 4, 2], "linear"))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, flat, meta={"round": 1, "agent_kind": "ddpg",
-                                          "layout_hash": "not-a-real-hash"})
+        write_checkpoint_bytes(path, flat, meta={
+            "round": 1, "agent_kind": "ddpg", "layout_hash": "not-a-real-hash"})
         with pytest.raises(ValueError, match="layout hash"):
             load_round_checkpoint(path)
 
@@ -651,24 +678,22 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("missing", ["round", "agent_kind", "layout_hash"])
     def test_missing_meta_key_refused(self, tmp_path, missing):
-        from fedfog.nn import save_checkpoint
-
         flat = flatten_mlp(init_mlp(np.random.default_rng(17), [3, 4, 2],
                                     "linear"))
         meta = {"round": 1, "agent_kind": "dqn",
                 "layout_hash": flat.layout_hash()}
         del meta[missing]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, flat, meta=meta)
-        with pytest.raises(ValueError, match=missing):
+        write_checkpoint_bytes(path, flat, meta=meta)
+        with pytest.raises(ValueError, match=f"lacks checkpoint meta key "
+                                             f"'{missing}'"):
             load_round_checkpoint(path)
 
     def test_file_without_meta_refused(self, tmp_path):
-        from fedfog.nn import save_checkpoint
-
         flat = flatten_mlp(init_mlp(np.random.default_rng(18), [3, 4, 2],
                                     "linear"))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, flat)
-        with pytest.raises(ValueError, match="round"):
+        write_checkpoint_bytes(path, flat)
+        with pytest.raises(ValueError, match="lacks checkpoint meta key "
+                                             "'round'"):
             load_round_checkpoint(path)

@@ -145,6 +145,15 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="sweeps.mds"):
             config_from_dict({"sweeps": {"mds": [0, 1]}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", [1, 2, 1]), ("agent_kinds", ["local", "oracle", "local"])])
+    def test_repeated_entries_refused(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"run.{key} must not repeat, got {value!r}")):
+            config_from_dict({"run": {key: value}})
+        with pytest.raises(ValueError, match=f"^{key} must not repeat"):
+            replace(ExperimentConfig().run, **{key: value})
+
     def test_sections_check_themselves_when_built(self):
         with pytest.raises(ValueError, match="^rounds must be >= 1"):
             RunConfig(rounds=0)
@@ -353,6 +362,17 @@ class TestSweeps:
         assert sweep[1:] == want
 
 
+    def test_oracle_over_budget_refused_before_any_grid_value(self, tmp_path):
+        cfg = sweep_cfg(tmp_path, ["local", "oracle"], SweepConfig(mds=[1, 13]))
+        with pytest.raises(ValueError, match=re.escape(
+                "sweeps.mds entry 13 exceeds ORACLE_MAX_MDS=12")):
+            sweep_mds(cfg)
+        assert not (tmp_path / "out").exists()
+        cfg = sweep_cfg(tmp_path, ["local"], SweepConfig(mds=[1, 13]))
+        _, rows = sweep_mds(cfg)
+        assert [row[0] for row in rows] == [1, 13]
+
+
 class TestThreshold:
     def test_first_crossing(self):
         assert rounds_to_threshold([5.0, 4.0, 3.0, 4.0], 3.5) == 3.0
@@ -409,6 +429,30 @@ class TestCli:
                    "--checkpoint", str(ckpt)])
         assert rc == 0
         assert "round 2" in capsys.readouterr().out
+
+    def test_oracle_over_budget_refused_before_training(self, tmp_path,
+                                                        capsys):
+        data = yaml.safe_load(TINY_YAML)
+        data["env"]["mds_per_fap"] = 13
+        data["run"].update(seeds=[1], agent_kinds=["fed-ddpg", "oracle"])
+        with_oracle = tmp_path / "oracle.yaml"
+        with_oracle.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(with_oracle),
+                     "--out", str(out)]) == 1
+        assert "env.mds_per_fap 13 exceeds ORACLE_MAX_MDS=12" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # the same cell trains without the oracle, and eval still reads the
+        # config that lists it, since eval never runs the oracle
+        data["run"]["agent_kinds"] = ["fed-ddpg"]
+        without = tmp_path / "no-oracle.yaml"
+        without.write_text(yaml.safe_dump(data))
+        assert main(["train", "--config", str(without),
+                     "--out", str(out)]) == 0
+        ckpt = out / "checkpoints" / "tiny-fed-ddpg-s1" / "ddpg-round00002.ckpt"
+        assert main(["eval", "--config", str(with_oracle),
+                     "--checkpoint", str(ckpt)]) == 0
 
     def test_invalid_config_reports_and_fails(self, tmp_path, capsys):
         for key in ("warp_drive", "rng_seed", "weight_energy"):

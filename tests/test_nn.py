@@ -7,9 +7,10 @@ import struct
 import numpy as np
 import pytest
 
+from fedfog.federated import (GlobalModel, load_round_checkpoint,
+                              save_round_checkpoint)
 from fedfog.nn import (AdamState, Mlp, adam_step, backward, flatten_mlp,
-                       forward, init_mlp, load_checkpoint, pack,
-                       save_checkpoint, workspace)
+                       forward, init_mlp, pack, workspace)
 from oracles import central_difference, count_params
 
 
@@ -435,18 +436,18 @@ class TestCheckpoint:
         net = make_net(rng, (6, 9, 4), "sigmoid")
         flat = flatten_mlp(net)
         path = tmp_path / "weights.ckpt"
-        save_checkpoint(path, flat, meta={"round": 7, "agent_kind": "ddpg"})
-        loaded, meta = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.values, flat.values)
-        assert loaded.layout() == flat.layout()
-        assert meta["round"] == 7
-        assert meta["agent_kind"] == "ddpg"
+        save_round_checkpoint(path, GlobalModel(flat, 7, "ddpg"))
+        loaded = load_round_checkpoint(path)
+        np.testing.assert_array_equal(loaded.weights.values, flat.values)
+        assert loaded.weights.layout() == flat.layout()
+        assert loaded.round_index == 7
+        assert loaded.agent_kind == "ddpg"
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="not a weight checkpoint"):
+            load_round_checkpoint(path)
 
     @pytest.mark.parametrize("damage", [
         "cut in version", "cut in header length", "cut in header",
@@ -455,7 +456,8 @@ class TestCheckpoint:
     def test_malformed_file_rejected_naming_path(self, tmp_path, damage):
         path = tmp_path / "weights.ckpt"
         rng = np.random.default_rng(40)
-        save_checkpoint(path, flatten_mlp(make_net(rng, (3, 4, 2), "sigmoid")))
+        save_round_checkpoint(path, GlobalModel(
+            flatten_mlp(make_net(rng, (3, 4, 2), "sigmoid")), 1, "ddpg"))
         blob = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 8)
         cuts = {"cut in version": 6, "cut in header length": 10,
@@ -471,8 +473,9 @@ class TestCheckpoint:
             blob = (blob[:8] + struct.pack("<I", len(text)) + text
                     + blob[12 + hlen:])
         path.write_bytes(blob)
-        with pytest.raises(ValueError, match=re.escape(str(path))) as exc:
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} is truncated or malformed")) as exc:
+            load_round_checkpoint(path)
         assert type(exc.value) is ValueError
 
 
