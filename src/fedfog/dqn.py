@@ -95,7 +95,6 @@ class DqnAgent(Agent):
         self.opt = AdamState.for_params(self.net.params, self.hp.lr)
         self.buffer = ReplayBuffer(self.hp.replay_capacity, state_dim, num_mds)
         self.epsilon = self.hp.epsilon_start
-        self._updates = 0
 
     def _head_values(self, q: np.ndarray) -> np.ndarray:
         return q.reshape(*q.shape[:-1], self.num_mds, ACTIONS_PER_MD)
@@ -134,8 +133,7 @@ class DqnAgent(Agent):
             raise FloatingPointError("non-finite TD loss")
         grad = backward(self.net, cache, grad_out)
         adam_step(self.net.params, grad, self.opt)
-        self._updates += 1
-        if self._updates % self.hp.target_sync_period == 0:
+        if self.opt.step_count % self.hp.target_sync_period == 0:
             self.sync_target()
         return loss
 

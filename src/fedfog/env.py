@@ -488,24 +488,21 @@ class FogCellEnv:
         moves = np.concatenate((start[None], step_len[:, :, None] * heading))
         # Reflection is the identity inside the cell, so the walk is a
         # running sum that restarts, reflected, at each row leaving the
-        # cell. The sum runs on from `row` over `width` rows: all of them at
-        # first, then 8 times the last gap between exits, doubled while no
-        # row of the window leaves. Rows are summed about as far as the next
-        # exit, not to the end at every exit.
+        # cell: the sum runs from `row` to the end, its first row outside
+        # is reflected, and the next sum starts from that row.
         walk = moves.reshape(steps + 1, 2 * m)
         positions = np.empty_like(walk)
-        row, width = 0, steps + 1
+        row = 0
         while row <= steps:
-            window = positions[row:row + width]
-            np.cumsum(walk[row:row + width], axis=0, out=window)
-            out = ((window < 0.0) | (window > cfg.cell_side)).any(axis=1)
+            rest = positions[row:]
+            np.cumsum(walk[row:], axis=0, out=rest)
+            out = ((rest < 0.0) | (rest > cfg.cell_side)).any(axis=1)
             k = int(out.argmax())
-            if out[k]:
-                window[k] = _reflect(window[k], cfg.cell_side)
-                row, width = row + k + 1, 8 * (k + 1)
-            else:
-                row, width = row + len(window), 2 * width
-            if row <= steps:    # the next window starts from this row's sum
+            if not out[k]:
+                break
+            rest[k] = _reflect(rest[k], cfg.cell_side)
+            row += k + 1
+            if row <= steps:
                 walk[row] += positions[row - 1]
         gains = channel_gains(positions.reshape(-1, 2), cfg.fap_position,
                               cfg.path_loss_alpha)

@@ -382,13 +382,12 @@ def run_training(env_cfg: EnvConfig, agent_kind: str, seed: int, rounds: int,
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     agents, envs, eval_envs, model = setup_federation(
         env_cfg, agent_kind, seed, ddpg_hp, dqn_hp)
-    greedy = build_agent(agent_kind, env_cfg, 0, ddpg_hp, dqn_hp)
     reports = []
     for j in range(rounds):
         model, report = run_round(agents, envs, model)
         if eval_last_rounds and j >= rounds - eval_last_rounds:
-            greedy.load_global(model.weights)
-            report.eval_cost = evaluate_policy(greedy.policy(), eval_envs)[1]
+            report.eval_cost = evaluate_global(
+                model, env_cfg, eval_envs, 1, ddpg_hp, dqn_hp)[1]
         reports.append(report)
         if checkpoint_dir is not None and (
                 j + 1 == rounds
@@ -447,8 +446,8 @@ def save_round_checkpoint(path, model: GlobalModel) -> None:
 
 def load_round_checkpoint(path) -> GlobalModel:
     """Read and check a save_round_checkpoint file. One that is not such a
-    file, has another version, is truncated or malformed, or lacks a meta key
-    raises ValueError naming `path`; a layout unlike its hash, ValueError."""
+    file, has another version, is truncated or malformed, lacks a meta key or
+    holds a layout unlike its hash raises ValueError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
@@ -473,5 +472,5 @@ def load_round_checkpoint(path) -> GlobalModel:
         if key not in meta:
             raise ValueError(f"{path} lacks checkpoint meta key {key!r}")
     if meta["layout_hash"] != flat.layout_hash():
-        raise ValueError("checkpoint layout hash mismatch")
+        raise ValueError(f"{path} does not match its checkpoint layout hash")
     return GlobalModel(flat, int(meta["round"]), str(meta["agent_kind"]))

@@ -48,6 +48,16 @@ _STAT_COLUMNS = tuple(f"{metric}_{stat}" for metric in _AGG_METRICS
                       for stat in ("mean", "std"))
 
 
+def _refuse_empty_or_repeated(section, *names) -> None:
+    """Each named list field of a config section is non-empty and distinct."""
+    for name in names:
+        values = getattr(section, name)
+        if not values:
+            raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat, got {values!r}")
+
+
 @dataclass
 class RunConfig:
     """The `run` section: training budget, seeds, kinds and outputs."""
@@ -61,16 +71,13 @@ class RunConfig:
     checkpoint_every: int = 0       # extra per-round snapshots; 0 = final only
 
     def __post_init__(self):
-        if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
-            raise ValueError(f"seeds must be a non-empty list of integers, "
-                             f"got {self.seeds!r}")
-        if not self.agent_kinds or not set(self.agent_kinds) <= set(ALL_KINDS):
+        if not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be a non-empty list of integers "
+                             f">= 0, got {self.seeds!r}")
+        if not set(self.agent_kinds) <= set(ALL_KINDS):
             raise ValueError(f"agent_kinds must be a non-empty list of kinds "
                              f"from {ALL_KINDS}, got {self.agent_kinds!r}")
-        for name in ("seeds", "agent_kinds"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} must not repeat, got {values!r}")
+        _refuse_empty_or_repeated(self, "seeds", "agent_kinds")
         for name in ("rounds", "eval_episodes", "sweep_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -86,6 +93,7 @@ class SweepConfig:
     fap_cpu: list = field(default_factory=lambda: [2e9, 5e9, 8e9])
 
     def __post_init__(self):
+        _refuse_empty_or_repeated(self, "mds", "fap_cpu")
         if any(m < 1 for m in self.mds):
             raise ValueError("mds entries must be >= 1")
         if any(f <= 0 for f in self.fap_cpu):

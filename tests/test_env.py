@@ -571,10 +571,14 @@ class TestEpisodeTrace:
             runs.append(seen)
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("m", [1, 5])
-    def test_walls_hit_often_match_per_slot_draws(self, m, monkeypatch):
+    # the 50-slot cases keep their ids; 500 slots is a long, exit-heavy trace
+    @pytest.mark.parametrize("m, steps", [(1, 50), (5, 50), (1, 500),
+                                          (5, 500)],
+                             ids=["1", "5", "1-500", "5-500"])
+    def test_walls_hit_often_match_per_slot_draws(self, m, steps,
+                                                  monkeypatch):
         cfg = EnvConfig(num_faps=1, mds_per_fap=m, cell_side=20.0,
-                        max_move_per_slot=15.0, steps_per_episode=50)
+                        max_move_per_slot=15.0, steps_per_episode=steps)
         walls = np.array([[0.0, 20.0], [20.0, 0.0], [0.0, 0.0], [20.0, 20.0],
                           [20.0, 7.5]])[:m]
         reflected = []
@@ -592,7 +596,7 @@ class TestEpisodeTrace:
             for _ in range(3):
                 cell.reset()
                 np.testing.assert_array_equal(cell.state.md_positions, walls)
-                seen += [bits_of(cell.fap)] + play(cell, rng, 50)
+                seen += [bits_of(cell.fap)] + play(cell, rng, steps)
                 seen += [bits_of(cell.fap), bits_of(cell.episode_metrics())]
             runs.append(seen)
         assert runs[0] == runs[1]

@@ -661,8 +661,9 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         write_checkpoint_bytes(path, flat, meta={
             "round": 1, "agent_kind": "ddpg", "layout_hash": "not-a-real-hash"})
-        with pytest.raises(ValueError, match="layout hash"):
+        with pytest.raises(ValueError, match="layout hash") as exc:
             load_round_checkpoint(path)
+        assert str(exc.value).startswith(f"{path} ")
 
     def test_version_1_file_refused(self, tmp_path):
         rng = np.random.default_rng(16)

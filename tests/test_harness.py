@@ -154,6 +154,34 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=f"^{key} must not repeat"):
             replace(ExperimentConfig().run, **{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("mds", [2, 2]), ("fap_cpu", [5e9, 2e9, 5e9]), ("mds", []),
+        ("fap_cpu", [])])
+    def test_sweep_grid_empty_or_repeated_refused(self, key, value):
+        rule = "must not repeat" if value else "must be a non-empty list"
+        message = f"{key} {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"sweeps.{message}")):
+            config_from_dict({"sweeps": {key: value}})
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            replace(ExperimentConfig().sweeps, **{key: value})
+
+    def test_negative_seed_refused_before_any_cell_runs(self, tiny_cfg_path,
+                                                        tmp_path, capsys):
+        rule = "seeds must be a non-empty list of integers >= 0"
+        with pytest.raises(ValueError, match=re.escape(
+                f"run.{rule}, got [1, -1]")):
+            config_from_dict({"run": {"seeds": [1, -1]}})
+        with pytest.raises(ValueError, match=f"^{rule}"):
+            replace(ExperimentConfig().run, seeds=[1, -1])
+        # --seed replaces the seed list through the same check
+        with pytest.raises(ValueError, match=re.escape(f"{rule}, got [-1]")):
+            load_config(path=tiny_cfg_path, seed=-1)
+        out = tmp_path / "refused"
+        assert main(["train", "--config", tiny_cfg_path, "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert f"{rule}, got [-1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sections_check_themselves_when_built(self):
         with pytest.raises(ValueError, match="^rounds must be >= 1"):
             RunConfig(rounds=0)
