@@ -24,11 +24,13 @@ Downlink result delivery, FAP-side energy, and cross-slot task queueing are
 deliberately not modeled.
 
 Layout: a cell's FogAccessPoint holds only what reset() draws for its MDs,
-as arrays over the cell, MD i in row i; SlotState and ActionVector use the
-same order. The FAP's CPU, bandwidth and position (the cell centre) live in
-EnvConfig alone. Costs, gains and mobility are whole-array expressions,
-except the gain's power and the rate's log2, which run per MD on Python
-floats through libm (see channel_gains).
+as arrays over the cell, MD i at index i; SlotState and ActionVector use the
+same order on their last axis, and may hold T slots as rows before it. The
+FAP's CPU, bandwidth and position (the cell centre) live in EnvConfig alone.
+Costs, gains and mobility are whole-array expressions, except the gain's
+power and the rate's log2, which run per MD on Python floats through libm
+(see channel_gains). rollout_episode decides a whole episode first, and
+FogCellEnv.play charges it with one slot_cost over (T, M) rows.
 """
 
 from __future__ import annotations
@@ -60,8 +62,14 @@ class ActionConstraintError(ValueError):
 
     def __init__(self, constraint: str, detail: str = ""):
         self.constraint = constraint
+        self.detail = detail
         msg = constraint if not detail else f"{constraint}: {detail}"
         super().__init__(msg)
+
+    def in_slot(self, slot: int) -> ActionConstraintError:
+        """The same refusal, naming the slot whose action it refuses."""
+        return ActionConstraintError(self.constraint, ", ".join(
+            filter(None, (f"slot {slot}", self.detail))))
 
 
 class EpisodeOverError(RuntimeError):
@@ -155,7 +163,7 @@ class SlotState:
 
     @property
     def num_mds(self) -> int:
-        return len(self.task_bits)
+        return self.task_bits.shape[-1]
 
 
 @dataclass
@@ -171,7 +179,11 @@ class ActionVector:
 
         The checks run on the Python floats of tolist(), cheaper at cell
         sizes than numpy calls; the constraint is named once one has failed.
+        Rows are checked in one numpy pass, and the first flagged row that
+        fails its own check raises its error (FogCellEnv.play names the slot).
         """
+        if self.offload.ndim > 1:
+            return self._validate_rows()
         offload = self.offload.tolist()
         y, z = self.compute_share.tolist(), self.bandwidth_share.tolist()
         if len(y) != len(offload) or len(z) != len(offload):
@@ -182,6 +194,20 @@ class ActionVector:
                 and all(x == 0 or (x == 1 and a >= _FLOOR and b >= _FLOOR)
                         for x, a, b in zip(offload, y, z))):
             self._name_violation(offload, (y, z))
+
+    def _validate_rows(self) -> None:
+        x, y, z = self.offload, self.compute_share, self.bandwidth_share
+        if y.shape != x.shape or z.shape != x.shape:
+            raise ActionConstraintError("length mismatch",
+                                        "offload/compute/bandwidth differ")
+        shares = np.concatenate((y, z), axis=-1)
+        # A sum within 1e-12 of the bound is flagged too: the row's own
+        # check adds its shares as Python does and has the last word.
+        fine = ((np.maximum(y.sum(-1), z.sum(-1)) <= 1.0 + _SUM_TOL - 1e-12)
+                & ((shares >= 0.0) & (shares <= 1.0)).all(-1)
+                & ((x == 0) | ((x == 1) & (y >= _FLOOR) & (z >= _FLOOR))).all(-1))
+        for k in np.flatnonzero(~fine).tolist():
+            ActionVector(x[k], y[k], z[k]).validate()
 
     def _name_violation(self, offload, shares) -> None:
         if not all(x in (0, 1) for x in offload):
@@ -207,6 +233,7 @@ class ActionVector:
 
 @dataclass
 class CostBreakdown:
+    # the cost of T slots' rows holds (T,) totals and (T, M) per-MD terms
     total_delay: float                  # s, summed over MDs
     total_energy: float                 # J, summed over MDs
     cost: float                         # weighted units
@@ -237,21 +264,25 @@ def spectral_efficiency(tx_power: np.ndarray, gains: np.ndarray,
 
 def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
               config: EnvConfig) -> CostBreakdown:
-    """Weighted delay-energy cost of the cell for one slot under `action`.
+    """Weighted delay-energy cost of the cell for one slot under `action`,
+    or of each row of a state and an action with a leading slot axis.
 
     Every MD gets its local terms; the offloaded MDs then get theirs
     overwritten by the offload terms. Only the device's transmit energy is
     charged for an offloaded task; FAP-side energy is not part of the model.
+    Each row costs what its slot alone does, bit for bit.
     """
     action.validate()
     if state.num_mds != len(fap.md_cpu_freq):
         raise ActionConstraintError("length mismatch", "state vs fap devices")
+    if action.offload.shape != state.task_bits.shape:
+        raise ActionConstraintError("length mismatch", "action vs state devices")
     cycles = state.task_cycles
     per_delay = cycles / fap.md_cpu_freq
     per_energy = fap.md_energy_coeff * cycles
-    off = np.flatnonzero(action.offload)
-    if off.size:
-        power = fap.md_tx_power[off]
+    off = np.nonzero(action.offload)
+    if off[0].size:
+        power = fap.md_tx_power[off[-1]]
         rate = (action.bandwidth_share[off] * config.bandwidth
                 * spectral_efficiency(power, state.channel_gains[off],
                                       config.noise_power))
@@ -259,8 +290,10 @@ def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
         per_delay[off] = (cycles[off] / (action.compute_share[off] * config.fap_cpu)
                           + tx_delay)
         per_energy[off] = power * tx_delay
-    total_delay = float(per_delay.sum())
-    total_energy = float(per_energy.sum())
+    total_delay = per_delay.sum(axis=-1)
+    total_energy = per_energy.sum(axis=-1)
+    if per_delay.ndim == 1:
+        total_delay, total_energy = float(total_delay), float(total_energy)
     cost = config.weight_delay * total_delay + config.weight_energy * total_energy
     return CostBreakdown(total_delay, total_energy, cost, per_delay, per_energy)
 
@@ -383,10 +416,11 @@ class FogCellEnv:
     No action changes what the cell draws, so reset() draws the episode's
     whole exogenous input at once, as its trace: the devices, every slot's
     tasks, positions and gains. step() charges the slot and moves on to the
-    trace's next row. A whole episode is the same as if each slot drew its
-    tasks when it opened and each move its steps when the slot closed. The
-    draws are fixed at reset(), though: the next reset() draws on from the
-    end of the whole trace, however many slots of it were played.
+    trace's next row; play() charges all slots left as those step() calls
+    would. A whole episode is the same as if each slot drew its tasks when it
+    opened and each move its steps when the slot closed. The draws are fixed
+    at reset(), though: the next reset() draws on from the end of the whole
+    trace, however many slots of it were played.
     """
 
     def __init__(self, config: EnvConfig, seed):
@@ -430,11 +464,7 @@ class FogCellEnv:
         The reward is -cost / M. Positions are frozen within the slot; MDs
         move and new tasks arrive only when the slot closes.
         """
-        if self.state is None:
-            raise EpisodeOverError("reset() must be called before step()")
-        if self.t >= self.config.steps_per_episode:
-            raise EpisodeOverError(
-                f"episode is over after {self.config.steps_per_episode} steps")
+        self._check_open()
         breakdown = slot_cost(self.state, action, self.fap, self.config)
         self.last_cost = breakdown
         reward = -breakdown.cost / self.config.mds_per_fap
@@ -444,6 +474,47 @@ class FogCellEnv:
         self.t += 1
         self.state = self._slot(self.t)
         return reward, self.state
+
+    def play(self, actions) -> None:
+        """Charge slots t to T - 1 their `actions` with one slot_cost over
+        the rows; t, state, last_cost and the sums (added in slot order) end
+        as step() calls would leave them. An action step() would refuse
+        raises its step() error, naming its slot, and no slot is charged."""
+        self._check_open()
+        states = self.trace_states()
+        if len(actions) != len(states.task_bits):
+            raise ValueError(f"{len(actions)} actions for "
+                             f"{len(states.task_bits)} slots left")
+        try:
+            rows = slot_cost(states, ActionVector(*map(np.array, zip(*(
+                (a.offload, a.compute_share, a.bandwidth_share)
+                for a in actions)))), self.fap, self.config)
+        except ValueError:
+            # the first slot step() refuses names the error; np.array
+            # refuses rows of unequal widths, which step() also refuses
+            for k, action in enumerate(actions, self.t):
+                try:
+                    slot_cost(self._slot(k), action, self.fap, self.config)
+                except ActionConstraintError as err:
+                    raise err.in_slot(k) from None
+            raise
+        m = self.config.mds_per_fap
+        r, c, d, e = self._sums
+        for cost, delay, energy in zip(rows.cost.tolist(), rows.total_delay.tolist(),
+                                       rows.total_energy.tolist()):
+            r, c, d, e = r + -cost / m, c + cost, d + delay, e + energy
+        self._sums = (r, c, d, e)
+        self.last_cost = CostBreakdown(delay, energy, cost, rows.per_md_delay[-1],
+                                       rows.per_md_energy[-1])
+        self.t = self.config.steps_per_episode
+        self.state = self._slot(self.t)
+
+    def _check_open(self) -> None:
+        if self.state is None:
+            raise EpisodeOverError("reset() must be called before step()")
+        if self.t >= self.config.steps_per_episode:
+            raise EpisodeOverError(
+                f"episode is over after {self.config.steps_per_episode} steps")
 
     def episode_metrics(self) -> tuple[float, float, float, float]:
         """(total reward, mean cost, mean delay, mean energy) of the slots
@@ -524,13 +595,24 @@ def _reflect(pos: np.ndarray, side: float) -> np.ndarray:
 
 def rollout_episode(env: FogCellEnv, policy):
     """Run one full episode under `policy(env, state) -> ActionVector` and
-    return its env.episode_metrics(). A policy with a plan(env) method
-    decides all T slots at once after reset() instead; step() charges them."""
-    state, steps = env.reset(), env.config.steps_per_episode
-    actions = policy.plan(env) if hasattr(policy, "plan") else None
-    if actions is not None and len(actions) != steps:
-        raise ValueError(f"plan(env) gave {len(actions)} actions, not {steps}")
-    for t in range(steps):
-        action = policy(env, state) if actions is None else actions[t]
-        _, state = env.step(action)
+    return its env.episode_metrics().
+
+    All T slots are decided, then env.play() charges them at once. A policy
+    with a plan(env) method decides them in one call after reset(); any
+    other is called per slot, in order, with env.t and env.state set to the
+    slot. It may read those, env.fap and env.config, but not the running
+    sums or last_cost: no slot is charged before the last decision.
+    """
+    first, steps = env.reset(), env.config.steps_per_episode
+    if hasattr(policy, "plan"):
+        actions = policy.plan(env)
+        if len(actions) != steps:
+            raise ValueError(f"plan(env) gave {len(actions)} actions, not {steps}")
+    else:
+        actions = []
+        for t in range(steps):
+            env.t, env.state = t, env._slot(t)
+            actions.append(policy(env, env.state))
+        env.t, env.state = 0, first
+    env.play(actions)
     return env.episode_metrics()

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedfog.env as env_module
-from fedfog.env import (D_MIN, ActionConstraintError, ActionVector, EnvConfig,
-                        EpisodeOverError, FogAccessPoint, FogCellEnv,
-                        SlotState, _reflect, channel_gains, flatten_state,
-                        md_energy_coeff, md_rotations, sanitize_action,
-                        slot_cost, spectral_efficiency)
+from fedfog import baselines
+from fedfog.env import (_SUM_TOL, D_MIN, ActionConstraintError, ActionVector,
+                        EnvConfig, EpisodeOverError, FogAccessPoint,
+                        FogCellEnv, SlotState, _reflect, channel_gains,
+                        flatten_state, md_energy_coeff, md_rotations,
+                        rollout_episode, sanitize_action, slot_cost,
+                        spectral_efficiency)
 from oracles import ReferenceCell, straight_line_slot_cost
 
 
@@ -164,6 +166,36 @@ class TestOffloadCost:
             one_md_cost(2e6, 7e8, 1, 1e-4, 0.5, 1e-8)
 
 
+# Two-MD actions, each violating the named constraint.
+BAD_ACTIONS = [
+    (([1, 0], [0.5], [0.5, 0.0]), "length mismatch"),
+    (([1, 2], [0.5, 0.5], [0.5, 0.5]), "offload not binary"),
+    (([1, 0], [1.5, 0.0], [0.5, 0.0]), "compute_share outside [0, 1]"),
+    (([1, 1], [0.8, 0.8], [0.3, 0.3]), "sum(compute_share) > 1"),
+    (([1, 1], [0.5, 1e-4], [0.3, 0.3]),
+     "compute_share below minimum share for an offloaded MD"),
+    (([1, 0], [0.5, 0.0], [-0.1, 0.0]), "bandwidth_share outside [0, 1]"),
+    (([1, 1], [0.3, 0.3], [0.8, 0.8]), "sum(bandwidth_share) > 1"),
+    (([1, 1], [0.3, 0.3], [0.5, 0.0]),
+     "bandwidth_share below minimum share for an offloaded MD"),
+]
+BAD_ACTION_IDS = ["length", "offload", "compute-range", "compute-sum",
+                  "compute-floor", "bandwidth-range", "bandwidth-sum",
+                  "bandwidth-floor"]
+
+
+def all_offloaded(m: int) -> ActionVector:
+    """Every MD offloaded, both budgets split evenly."""
+    return ActionVector(np.ones(m, dtype=int), np.full(m, 1.0 / m),
+                        np.full(m, 1.0 / m))
+
+
+def as_rows(actions) -> ActionVector:
+    """One ActionVector holding `actions` as rows."""
+    return ActionVector(*(np.array(v) for v in zip(
+        *((a.offload, a.compute_share, a.bandwidth_share) for a in actions))))
+
+
 class TestSlotCost:
     def test_all_local_sums_local_costs(self):
         rng = np.random.default_rng(0)
@@ -245,20 +277,8 @@ class TestSlotCost:
         with pytest.raises(ActionConstraintError, match="compute_share"):
             slot_cost(state, bad, fap, cfg)
 
-    @pytest.mark.parametrize("action, constraint", [
-        (([1, 0], [0.5], [0.5, 0.0]), "length mismatch"),
-        (([1, 2], [0.5, 0.5], [0.5, 0.5]), "offload not binary"),
-        (([1, 0], [1.5, 0.0], [0.5, 0.0]), "compute_share outside [0, 1]"),
-        (([1, 1], [0.8, 0.8], [0.3, 0.3]), "sum(compute_share) > 1"),
-        (([1, 1], [0.5, 1e-4], [0.3, 0.3]),
-         "compute_share below minimum share for an offloaded MD"),
-        (([1, 0], [0.5, 0.0], [-0.1, 0.0]), "bandwidth_share outside [0, 1]"),
-        (([1, 1], [0.3, 0.3], [0.8, 0.8]), "sum(bandwidth_share) > 1"),
-        (([1, 1], [0.3, 0.3], [0.5, 0.0]),
-         "bandwidth_share below minimum share for an offloaded MD"),
-    ], ids=["length", "offload", "compute-range", "compute-sum",
-            "compute-floor", "bandwidth-range", "bandwidth-sum",
-            "bandwidth-floor"])
+    @pytest.mark.parametrize("action, constraint", BAD_ACTIONS,
+                             ids=BAD_ACTION_IDS)
     def test_validate_names_each_constraint(self, action, constraint):
         bad = ActionVector(*(np.array(v) for v in action))
         with pytest.raises(ActionConstraintError) as err:
@@ -276,6 +296,57 @@ class TestSlotCost:
         with pytest.raises(ActionConstraintError) as err:
             bad.validate()
         assert err.value.constraint == f"{name} not finite"
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_action_for_another_cell_size_refused(self, width):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=4)
+        env = FogCellEnv(cfg, seed=6)
+        env.reset()
+        action = all_offloaded(width)
+        message = "^length mismatch: action vs state devices$"
+        with pytest.raises(ActionConstraintError, match=message) as err:
+            env.step(action)
+        assert err.value.constraint == "length mismatch"
+        assert env.t == 0 and env.last_cost is None
+        with pytest.raises(ActionConstraintError, match=message):
+            slot_cost(env.trace_states(), as_rows([action] * 4), env.fap, cfg)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 12])
+    def test_rows_cost_what_each_slot_costs_alone(self, m):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=m, steps_per_episode=40)
+        env = FogCellEnv(cfg, seed=m)
+        env.reset()
+        rng = np.random.default_rng(m)
+        raws = rng.uniform(0.0, 1.0, size=(40, 3 * m))
+        raws[:4, :m] = 0.0                          # all-local rows
+        actions = [sanitize_action(raw) for raw in raws]
+        rows = slot_cost(env.trace_states(), as_rows(actions), env.fap, cfg)
+        for t, action in enumerate(actions):
+            one = slot_cost(env._slot(t), action, env.fap, cfg)
+            assert bits_of((one.total_delay, one.total_energy, one.cost,
+                            one.per_md_delay, one.per_md_energy)) == bits_of((
+                float(rows.total_delay[t]), float(rows.total_energy[t]),
+                float(rows.cost[t]), rows.per_md_delay[t],
+                rows.per_md_energy[t]))
+
+    def test_row_sums_near_the_bound_go_to_the_row_check(self):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=2, steps_per_episode=3)
+        env = FogCellEnv(cfg, seed=2)
+        env.reset()
+        inside = np.array([0.5, 0.5 + _SUM_TOL - 5e-13])
+        outside = np.array([0.5, 0.5 + _SUM_TOL + 5e-13])
+        assert 1.0 + _SUM_TOL - 1e-12 < sum(inside) <= 1.0 + _SUM_TOL
+        assert sum(outside) > 1.0 + _SUM_TOL
+        even = all_offloaded(2)
+        near = ActionVector(np.ones(2, dtype=int), inside, even.bandwidth_share)
+        rows = slot_cost(env.trace_states(), as_rows([even, near, even]),
+                         env.fap, cfg)
+        assert rows.cost[1] == slot_cost(env._slot(1), near, env.fap, cfg).cost
+        over = ActionVector(np.ones(2, dtype=int), outside, even.bandwidth_share)
+        with pytest.raises(ActionConstraintError,
+                           match=r"^sum\(compute_share\) > 1: sum="):
+            slot_cost(env.trace_states(), as_rows([even, near, over]),
+                      env.fap, cfg)
 
     def test_agrees_with_straight_line_recompute(self):
         rng = np.random.default_rng(5)
@@ -652,3 +723,136 @@ class TestEpisodeTrace:
             env.episode_metrics()
         env.step(sanitize_action(np.ones(9)))
         assert env.episode_metrics()[1] == env.last_cost.cost
+
+
+def slot_policy(name: str, m: int):
+    """A fresh per-slot policy; the random one draws from its own stream."""
+    rng = np.random.default_rng(m)
+    return {"local": lambda env, state: baselines.local_policy(state),
+            "equal": lambda env, state: baselines.equal_policy(state),
+            "oracle": baselines.oracle_policy,
+            "random": lambda env, state: sanitize_action(
+                rng.uniform(0.0, 1.0, 3 * m))}[name]
+
+
+def step_through(cell, policy, first=0):
+    """Play the rest of `cell`'s episode slot by slot, from slot `first`."""
+    state = cell.state
+    for _ in range(first, cell.config.steps_per_episode):
+        _, state = cell.step(policy(cell, state))
+
+
+def end_of_episode(cell):
+    return [bits_of(cell.episode_metrics()), cell.t, bits_of(cell.state),
+            bits_of(cell.last_cost)]
+
+
+class TestWholeEpisodeCharge:
+    """rollout_episode decides every slot, then play() charges them with one
+    slot_cost over the rows; episodes end as the step() loop leaves them."""
+
+    @pytest.mark.parametrize("name", ["local", "equal", "oracle", "random"])
+    @pytest.mark.parametrize("m", [1, 3, 5, 12])
+    def test_rollout_matches_step_loop_and_reference(self, m, name):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=m)
+        runs = []
+        for cell in (FogCellEnv(cfg, seed=m), FogCellEnv(cfg, seed=m),
+                     ReferenceCell(cfg, seed=m)):
+            policy = slot_policy(name, m)
+            seen = []
+            for _ in range(3):
+                if not runs:
+                    rollout_episode(cell, policy)
+                else:
+                    cell.reset()
+                    step_through(cell, policy)
+                seen += [bits_of(cell.fap)] + end_of_episode(cell)
+            runs.append(seen)
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("played", [1, 3, 6])
+    def test_play_charges_the_slots_left(self, played):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=7)
+        runs = []
+        for whole in (True, False):
+            cell = FogCellEnv(cfg, seed=played)
+            cell.reset()
+            policy = slot_policy("random", 3)
+            step_through(cell, policy, cfg.steps_per_episode - played)
+            actions = [policy(cell, cell._slot(t))
+                       for t in range(cell.t, cfg.steps_per_episode)]
+            if whole:
+                cell.play(actions)
+            else:
+                for action in actions:
+                    cell.step(action)
+            runs.append(end_of_episode(cell))
+        assert runs[0] == runs[1]
+        with pytest.raises(EpisodeOverError, match="episode is over"):
+            cell.play([])
+
+    @pytest.mark.parametrize("planned", [False, True])
+    @pytest.mark.parametrize("slot", [0, 17, 49])
+    @pytest.mark.parametrize("action, constraint",
+                             BAD_ACTIONS + [(([1] * 3, [0.3] * 3, [0.3] * 3),
+                                             "length mismatch")],
+                             ids=BAD_ACTION_IDS + ["cell-size"])
+    def test_bad_action_in_a_slot_raises_its_step_error(
+            self, action, constraint, slot, planned):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=2)
+        bad = ActionVector(*(np.array(v) for v in action))
+
+        def policy(env, state):
+            return bad if env.t == slot else baselines.equal_policy(state)
+
+        stepped = FogCellEnv(cfg, seed=slot)
+        stepped.reset()
+        with pytest.raises(ActionConstraintError) as want:
+            step_through(stepped, policy)
+        assert want.value.constraint == constraint and stepped.t == slot
+        if planned:
+            def per_slot(env, state):
+                raise AssertionError("a planned episode calls no slot policy")
+
+            per_slot.plan = lambda env: [bad if t == slot else
+                                         baselines.equal_policy(env._slot(t))
+                                         for t in range(cfg.steps_per_episode)]
+            played = per_slot
+        else:
+            played = policy
+        cell = FogCellEnv(cfg, seed=slot)
+        with pytest.raises(ActionConstraintError) as got:
+            rollout_episode(cell, played)
+        assert got.value.constraint == constraint
+        assert str(got.value) == str(want.value.in_slot(slot))
+        assert f"slot {slot}" in str(got.value)
+        # nothing was charged
+        assert cell.t == 0 and cell.last_cost is None
+        with pytest.raises(RuntimeError, match="no slot has been played"):
+            cell.episode_metrics()
+
+    def test_bad_action_named_by_its_slot_after_steps(self):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=2, steps_per_episode=8)
+        cell = FogCellEnv(cfg, seed=1)
+        cell.reset()
+        for _ in range(3):
+            cell.step(all_offloaded(2))
+        sums = cell.episode_metrics()
+        bad = ActionVector(np.ones(2, dtype=int), np.array([0.8, 0.8]),
+                           np.array([0.3, 0.3]))
+        actions = [all_offloaded(2)] * 5
+        actions[2] = bad
+        with pytest.raises(ActionConstraintError,
+                           match=r"^sum\(compute_share\) > 1: slot 5, sum="):
+            cell.play(actions)
+        assert cell.t == 3 and cell.episode_metrics() == sums
+        with pytest.raises(ValueError, match="^4 actions for 5 slots left$"):
+            cell.play(actions[:4])
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_trace_states_count_devices(self, m):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=m, steps_per_episode=50)
+        env = FogCellEnv(cfg, seed=m)
+        env.reset()
+        assert env.trace_states().num_mds == m
+        assert env.state.num_mds == m
