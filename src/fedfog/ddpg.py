@@ -32,7 +32,7 @@ import numpy as np
 
 from .agent import Agent, check_hyperparams
 from .env import decode_shares, md_rotations, sanitize_action
-from .nn import AdamState, adam_step, backward, forward, init_mlp, workspace
+from .nn import AdamState, adam_step, backward, forward, init_mlp
 from .replay import ReplayBuffer, Transition
 
 
@@ -166,7 +166,7 @@ class DdpgAgent(Agent):
         q, critic_cache = forward(self.critic, critic_in)
         objective = float(np.mean(q))
         # The actor step reads only dQ/d(action features); the critic's
-        # parameters and their gradient stay as the critic step left them.
+        # parameters stay as the critic step left them.
         action_grad = pullback(backward(self.critic, critic_cache,
                                         np.full_like(q, 1.0 / k),
                                         input_cols=slice(s.shape[1], None)))
@@ -181,8 +181,7 @@ class DdpgAgent(Agent):
         """Geometric target tracking: theta' <- tau*theta + (1-tau)*theta'."""
         tau = self.hp.tau
         self.targets *= 1.0 - tau
-        self.targets += np.multiply(tau, self.online,
-                                    out=workspace(self.online.size))
+        self.targets += tau * self.online
 
     def update_step(self) -> float | None:
         """One critic + actor + soft update from a sampled batch, if warm."""

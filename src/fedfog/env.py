@@ -108,9 +108,10 @@ class EnvConfig:
                 raise ValueError(f"{name} must be finite and > 0")
         for name in ("md_cpu_range", "md_power_range", "task_bits_range",
                      "cycles_per_bit_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:
-                raise ValueError(f"{name} must satisfy 0 < min <= max < inf")
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not 0 < bounds[0] <= bounds[1] < math.inf:
+                raise ValueError(f"{name} must be [min, max] with "
+                                 f"0 < min <= max < inf, got {bounds!r}")
         if self.num_faps < 1:
             raise ValueError("num_faps must be >= 1")
         if self.mds_per_fap < 1:

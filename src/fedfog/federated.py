@@ -20,17 +20,18 @@ replay cursor), so after the round the parent's objects are exactly as
 serial training would have left them. Each agent's float operations and
 random draws are the same in whichever process it trains, so results do
 not depend on the CPU count. They do depend on the BLAS thread count, as
-any float order does, and children are forked only where BLAS runs on one
-thread: a forked child restarts a multi-threaded BLAS's spinning threads,
-which costs more than the children save.
+any float order does. Children are forked only where this process runs one
+OS thread, since fork() copies only the calling thread; OpenBLAS starts its
+threads when numpy loads, so a BLAS left on more than one thread keeps the
+training in this process.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import io
 import json
+import math
 import os
 import pickle
 import signal
@@ -148,40 +149,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
-                        "scipy_openblas_get_num_threads",
-                        "openblas_get_num_threads64_",
-                        "openblas_get_num_threads")
-
-
-@functools.cache
-def _openblas_thread_getter():
-    """The thread-count function of the OpenBLAS this process has loaded,
-    or None where none can be found."""
+def _thread_count() -> int | None:
+    """OS threads this process runs, from /proc/self/status, or None where
+    that cannot be read."""
     try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh
-                    if "openblas" in line.lower() and "/" in line}
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
     except OSError:
-        return None
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in _BLAS_THREAD_SYMBOLS:
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return fn
+        pass
     return None
-
-
-def _blas_threads() -> int | None:
-    """The loaded BLAS's thread count, or None where it cannot be read."""
-    get = _openblas_thread_getter()
-    return None if get is None else int(get())
 
 
 # In a child of fork_map: its share of the parent's CPUs, which worker_count
@@ -192,9 +170,10 @@ _cpu_share: int | None = None
 def worker_count(n_jobs: int) -> int:
     """Processes that `n_jobs` independent jobs run on: one per job, up to
     this process's CPUs (its share of them, in a child of fork_map), where
-    the process can fork and BLAS reports exactly one thread; otherwise 1,
-    which runs them in this process. The one rule for every fork_map."""
-    if not hasattr(os, "fork") or _blas_threads() != 1:
+    the process can fork and runs exactly one OS thread (fork() copies only
+    the calling thread); otherwise 1, which runs them in this process. The
+    one rule for every fork_map."""
+    if not hasattr(os, "fork") or _thread_count() != 1:
         return 1
     return min(n_jobs, _cpu_share or _usable_cpus())
 
@@ -446,8 +425,9 @@ def save_round_checkpoint(path, model: GlobalModel) -> None:
 
 def load_round_checkpoint(path) -> GlobalModel:
     """Read and check a save_round_checkpoint file. One that is not such a
-    file, has another version, is truncated or malformed, lacks a meta key or
-    holds a layout unlike its hash raises ValueError naming `path`."""
+    file, has another version, is truncated or malformed, lacks a meta key,
+    holds a layout unlike its hash or a value count unlike its layout's size
+    raises ValueError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
@@ -473,4 +453,8 @@ def load_round_checkpoint(path) -> GlobalModel:
             raise ValueError(f"{path} lacks checkpoint meta key {key!r}")
     if meta["layout_hash"] != flat.layout_hash():
         raise ValueError(f"{path} does not match its checkpoint layout hash")
+    size = sum(math.prod(shape) for shape in flat.shapes)
+    if flat.values.size != size:
+        raise ValueError(f"{path} holds {flat.values.size} values for a "
+                         f"layout of {size}")
     return GlobalModel(flat, int(meta["round"]), str(meta["agent_kind"]))

@@ -26,17 +26,13 @@ class Mlp:
 
     All parameters live in one contiguous f64 vector `params`, in the order
     [W0, b0, W1, b1, ...]; every weight and bias is a view into it. The
-    constructor copies the given arrays into a fresh vector. `grad` is the
-    buffer a parameter pass of backward() writes, laid out like `params`
-    and made on first use; an input-gradient pass leaves it alone. A pickled
-    net leaves `grad` behind.
+    constructor copies the given arrays into a fresh vector.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
     params: np.ndarray = field(init=False, repr=False)
-    grad: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.bind(np.empty(sum(w.size + b.size
@@ -56,10 +52,6 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, list(self.activations))
-
-    def __getstate__(self):
-        # scratch: each parameter pass rewrites it in full
-        return {**vars(self), "grad": None}
 
 
 def pack(*nets: Mlp) -> np.ndarray:
@@ -114,22 +106,6 @@ def from_shared_ref(ref) -> np.ndarray:
     """The view a shared_ref describes, in this process's shared memory."""
     addr, offset, shape, strides = ref
     return np.ndarray(shape, float, _shared[addr], offset, strides)
-
-
-_work = np.empty(0)
-
-
-def workspace(size: int) -> np.ndarray:
-    """Scratch vector shared by the in-place updates of this process.
-
-    Its contents do not outlive the call that asked for it. A process trains
-    one agent at a time, so the sharing is safe and keeps the memory of one
-    scratch vector instead of one per network.
-    """
-    global _work
-    if _work.size < size:
-        _work = np.empty(size)
-    return _work[:size]
 
 
 ADAM_BETA1 = 0.9
@@ -250,8 +226,8 @@ def forward(net: Mlp, x: np.ndarray):
 
 def backward(net: Mlp, cache, output_grad: np.ndarray, input_cols=None):
     """Exact gradients of a scalar loss given dL/d(output), which carries any
-    batch averaging and is not written. Returns the net's own buffer `grad`:
-    the parameter gradient summed over the batch, laid out like `params`.
+    batch averaging and is not written. Returns a fresh vector: the
+    parameter gradient summed over the batch, laid out like `params`.
     Given `input_cols` (an index or slice), returns instead only those
     columns of dL/d(input), one row per batch row, and computes no parameter
     gradient."""
@@ -261,29 +237,29 @@ def backward(net: Mlp, cache, output_grad: np.ndarray, input_cols=None):
     if len(cache) != len(net.weights) + 1 or any(
             a.shape[1] != w.shape[1] for a, w in zip(cache[1:], net.weights)):
         raise ValueError("cache does not match this network")
-    want_params = input_cols is None
-    if want_params and net.grad is None:
-        net.grad = np.empty_like(net.params)
+    grad = np.empty_like(net.params) if input_cols is None else None
     dz = _delta(net.activations[-1], g, cache[-1])
     end = net.params.size
     for i in range(len(net.weights) - 1, -1, -1):
         w = net.weights[i]
-        if want_params:
-            dz.sum(axis=0, out=net.grad[end - w.shape[1]:end])
+        if grad is not None:
+            dz.sum(axis=0, out=grad[end - w.shape[1]:end])
             end -= w.shape[1] + w.size
             np.matmul(cache[i].T, dz,
-                      out=net.grad[end:end + w.size].reshape(w.shape))
+                      out=grad[end:end + w.size].reshape(w.shape))
         if i > 0:
             dz = _delta(net.activations[i - 1], dz @ w.T, cache[i])
+    if grad is not None:
+        return grad
     # the full product, then the columns: slicing W0 first rounds differently
-    return net.grad if want_params else (dz @ net.weights[0].T)[:, input_cols]
+    return (dz @ net.weights[0].T)[:, input_cols]
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the flat `params`.
 
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order in
-    workspace memory.
+    two scratch rows made for the call.
     """
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("params/grad/state sizes differ")
@@ -293,8 +269,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    work = workspace(2 * params.size)
-    step, denom = work[:params.size], work[params.size:]
+    step, denom = np.empty((2, params.size))
     m, v = state.m, state.v
     m *= ADAM_BETA1
     m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)

@@ -343,20 +343,20 @@ class TestActorUpdate:
                                       None, None, None))
         np.testing.assert_array_equal(agent.critic.params, before)
 
-    def test_actor_step_keeps_critic_step_gradient(self):
+    def test_actor_step_keeps_critic_step_state(self):
         # the actor step reads only the critic's input gradient, so the
-        # critic's gradient buffer still holds the critic step's gradient
+        # critic's parameters and moments stay as the critic step left them
         agent = make_agent(num_mds=2, seed=11)
         rng = np.random.default_rng(12)
         batch = Transition(rng.uniform(size=(8, 12)), rng.uniform(size=(8, 6)),
                            rng.normal(size=8), rng.uniform(size=(8, 12)))
         agent.critic_update(batch)
-        buffer, grad = agent.critic.grad, agent.critic.grad.copy()
-        params = agent.critic.params.copy()
+        opt = agent.critic_opt
+        before = [a.copy() for a in (agent.critic.params, opt.m, opt.v)]
         agent.actor_update(batch)
-        assert agent.critic.grad is buffer
-        np.testing.assert_array_equal(agent.critic.grad, grad)
-        np.testing.assert_array_equal(agent.critic.params, params)
+        assert opt.step_count == 1
+        for now, then in zip((agent.critic.params, opt.m, opt.v), before):
+            np.testing.assert_array_equal(now, then)
 
 
 class TestSoftUpdate:

@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import struct
+import threading
 import time
 
 import numpy as np
@@ -271,15 +272,14 @@ def three_rounds(kind, cfg, round_fn):
 
 
 def snapshot(obj):
-    """Comparable image of an object's full state, scratch gradients aside:
-    arrays by bytes, generators by bit-generator state, objects by their
-    attributes."""
+    """Comparable image of an object's full state: arrays by bytes,
+    generators by bit-generator state, objects by their attributes."""
     if isinstance(obj, np.ndarray):
         return obj.dtype.str, obj.shape, obj.tobytes()
     if isinstance(obj, np.random.Generator):
         return snapshot(obj.bit_generator.state)
     if isinstance(obj, dict):
-        return {k: snapshot(v) for k, v in obj.items() if k != "grad"}
+        return {k: snapshot(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [snapshot(v) for v in obj]
     if isinstance(obj, float):
@@ -294,12 +294,10 @@ CELLS = [("ddpg", small_env(num_faps=2, mds_per_fap=3)),
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Let rounds fork whatever the BLAS; returns the pids of the children
-    this process forks."""
+def fork_pids(monkeypatch):
+    """The pids of the children this process forks."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(fed, "_blas_threads", lambda: 1)
     pids = []
     real = os.fork
 
@@ -311,6 +309,13 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     return pids
+
+
+@pytest.fixture
+def forks(fork_pids, monkeypatch):
+    """Let rounds fork whatever threads run; returns fork_pids."""
+    monkeypatch.setattr(fed, "_thread_count", lambda: 1)
+    return fork_pids
 
 
 def no_child_left(pids):
@@ -387,9 +392,9 @@ class TestConcurrentRounds:
     @pytest.mark.parametrize("threads", [2, None])
     def test_multithreaded_or_unknown_blas_trains_in_process(
             self, threads, serial_files, tmp_path, forks, monkeypatch):
-        # a forked child restarts a multi-threaded BLAS's spinning threads
+        # OpenBLAS at two threads runs two OS threads, and fork() copies one
         monkeypatch.setattr(fed, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(fed, "_blas_threads", lambda: threads)
+        monkeypatch.setattr(fed, "_thread_count", lambda: threads)
         assert fed.worker_count(4) == 1
         agents, envs, _, model = setup_federation(small_env(), "dqn", 3,
                                                   dqn_hp=small_dqn())
@@ -398,13 +403,33 @@ class TestConcurrentRounds:
         assert experiment_files(tmp_path) == serial_files
         assert not forks
 
-    def test_blas_thread_count_is_read(self):
-        threads = fed._blas_threads()
+    def test_thread_count_is_read(self):
+        threads = fed._thread_count()
         if threads is None:
-            pytest.skip("the loaded BLAS does not report its thread count")
+            pytest.skip("/proc/self/status cannot be read")
         if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
             pytest.skip("BLAS is not pinned to one thread")
+        # BLAS pinned to one thread starts none of its own
         assert threads == 1
+
+    def test_live_thread_keeps_round_in_process(self, fork_pids,
+                                                monkeypatch):
+        # whatever BLAS reports, fork() would copy only the calling thread
+        monkeypatch.setattr(fed, "_usable_cpus", lambda: 4)
+        agents, envs, _, model = setup_federation(small_env(num_faps=4),
+                                                  "dqn", 3,
+                                                  dqn_hp=small_dqn())
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert fed.worker_count(4) == 1
+            run_round(agents, envs, model)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert not fork_pids
 
     @pytest.fixture
     def three_agents(self, forks, monkeypatch):
@@ -662,6 +687,22 @@ class TestCheckpoints:
         write_checkpoint_bytes(path, flat, meta={
             "round": 1, "agent_kind": "ddpg", "layout_hash": "not-a-real-hash"})
         with pytest.raises(ValueError, match="layout hash") as exc:
+            load_round_checkpoint(path)
+        assert str(exc.value).startswith(f"{path} ")
+
+    def test_value_count_unlike_layout_refused(self, tmp_path):
+        # desk DDPG at hidden (8, 4) lays out 482 values
+        flat = build_agent("ddpg", EnvConfig(), 0,
+                           DdpgHyperParams(hidden=(8, 4))).export_weights()
+        assert flat.values.size == 482
+        short = FlatWeights(flat.values[:10], flat.shapes, flat.offsets,
+                            flat.activations)
+        path = tmp_path / "model.ckpt"
+        write_checkpoint_bytes(path, short, meta={
+            "round": 1, "agent_kind": "ddpg",
+            "layout_hash": flat.layout_hash()})
+        with pytest.raises(ValueError, match="10 values for a layout of 482") \
+                as exc:
             load_round_checkpoint(path)
         assert str(exc.value).startswith(f"{path} ")
 

@@ -212,7 +212,8 @@ class TestConfigLoading:
         ("ddpg", "critic_lr", 0.0), ("ddpg", "noise_std", -0.1),
         ("ddpg", "noise_floor", -1.0), ("dqn", "epsilon_decay", 0.0),
         ("dqn", "epsilon_start", 1.5), ("dqn", "epsilon_floor", -0.1),
-        ("env", "weight_delay", 1.5)])
+        ("env", "weight_delay", 1.5), ("env", "md_cpu_range", [1e9]),
+        ("env", "md_cpu_range", [1.0, 2.0, 3.0]), ("env", "md_cpu_range", [])])
     def test_bad_hyperparameter_refused_naming_field(self, section, key,
                                                      value):
         with pytest.raises(ValueError, match=rf"^{section}\.{key} must "):
@@ -336,7 +337,7 @@ class TestRunExperiment:
         # a pool of worker_count processes writes what one process writes
         import os
         import fedfog.federated as fed
-        monkeypatch.setattr(fed, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(fed, "_thread_count", lambda: 1)
         runs = {}
         for cpus in (1, 2):
             monkeypatch.setattr(fed, "_usable_cpus", lambda: cpus)

@@ -10,7 +10,7 @@ import pytest
 from fedfog.federated import (GlobalModel, load_round_checkpoint,
                               save_round_checkpoint)
 from fedfog.nn import (AdamState, Mlp, adam_step, backward, flatten_mlp,
-                       forward, init_mlp, pack, workspace)
+                       forward, init_mlp, pack)
 from oracles import central_difference, count_params
 
 
@@ -222,22 +222,27 @@ class TestBackward:
         rng = np.random.default_rng(41)
         net = make_net(rng, (4, 6, 3), "sigmoid")
         out, cache = forward(net, rng.normal(size=(5, 4)))
-        grad = backward(net, cache, rng.normal(size=out.shape))
-        assert grad is net.grad
+        output_grad = rng.normal(size=out.shape)
+        grad = backward(net, cache, output_grad)
         assert grad.shape == net.params.shape
+        # each pass returns a fresh vector, which the next one leaves alone
+        again = backward(net, cache, output_grad)
+        assert not np.shares_memory(grad, again)
+        assert not np.shares_memory(grad, net.params)
+        np.testing.assert_array_equal(grad, again)
 
     @pytest.mark.parametrize("hidden", ["relu", "sigmoid", "linear"])
-    def test_input_pass_leaves_param_grad_alone(self, hidden):
+    def test_input_pass_returns_only_the_asked_columns(self, hidden):
         rng = np.random.default_rng(42)
         net = init_mlp(rng, [6, 8, 5, 2], hidden_activation=hidden)
         out, cache = forward(net, rng.normal(size=(7, 6)))
-        backward(net, cache, np.full_like(out, np.nan), input_cols=[1])
-        assert net.grad is None
-        buffer = backward(net, cache, rng.normal(size=out.shape))
-        before = buffer.copy()
-        backward(net, cache, rng.normal(size=out.shape), input_cols=slice(4, None))
-        assert net.grad is buffer
-        np.testing.assert_array_equal(net.grad, before)
+        output_grad = rng.normal(size=out.shape)
+        full = backward(net, cache, output_grad, input_cols=slice(None))
+        assert full.shape == (7, 6)
+        for cols in ([1], slice(4, None)):
+            np.testing.assert_array_equal(
+                backward(net, cache, output_grad, input_cols=cols),
+                full[:, cols])
 
     @pytest.mark.parametrize("out_act", ["relu", "sigmoid", "linear"])
     @pytest.mark.parametrize("hidden", ["relu", "sigmoid", "linear"])
@@ -382,16 +387,6 @@ class TestParamStore:
         flat = flatten_mlp(net)
         assert not np.shares_memory(flat.values, net.params)
         np.testing.assert_array_equal(flat.values, net.params)
-
-
-class TestWorkspace:
-    def test_one_vector_grows_on_demand(self):
-        # one process trains one agent at a time, so one vector serves all
-        small = workspace(8)
-        assert np.shares_memory(small, workspace(4))
-        big = workspace(small.base.size + 1)
-        assert np.shares_memory(big, workspace(8))
-        assert not np.shares_memory(big, small)
 
 
 class TestFlattenWeights:

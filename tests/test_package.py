@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # one updates this set and says why in CHANGES.md: the benchmark's oracle
 # timings move with the set of modules the process has loaded.
 IMPORTED_MODULES = {
-    "__future__", "argparse", "contextlib", "csv", "ctypes", "dataclasses",
+    "__future__", "argparse", "contextlib", "csv", "dataclasses",
     "functools", "hashlib", "io", "json", "math", "mmap", "numpy", "os",
     "pickle", "signal", "struct", "sys", "tempfile", "traceback", "typing",
     "weakref", "yaml"}
