@@ -7,9 +7,9 @@ the online vector crosses the agent boundary: an upload copies it, and a
 broadcast overwrites it and resets the targets to it. Target networks are a
 local stabiliser, so they are neither uploaded nor averaged.
 
-A subclass supplies act(state, explore) -> (action stored in replay,
-ActionVector), update_step() -> loss or None, end_episode(), and the greedy
-path: _greedy(states) -> outputs per row, _decode(outputs) -> [x, y, z] rows.
+A subclass supplies act(state) -> (explored action for replay, ActionVector),
+update_step() -> loss or None, end_episode(), and the greedy path:
+_greedy(states) -> outputs per row, _decode(outputs) -> [x, y, z] rows.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Agent:
         s = env.flatten_state(env.reset())
         losses = []
         for _ in range(env.config.steps_per_episode):
-            stored, action = self.act(s, explore=True)
+            stored, action = self.act(s)
             reward, state = env.step(action)
             # buffer.add copies, so the next step may read the same vector
             s_next = env.flatten_state(state)
@@ -82,16 +82,10 @@ class Agent:
                              len(losses))
 
     def policy(self):
-        """Frozen greedy policy suitable for rollout_episode(); its plan(env)
-        decides the slots left in env's trace with one forward."""
-        def act(env, state):
-            return self.act(env.flatten_state(state), explore=False)[1]
-
-        def plan(env):
-            greedy = self._greedy(env.flatten_state(env.trace_states()))
-            return [sanitize_action(row) for row in self._decode(greedy)]
-        act.plan = plan
-        return act
+        """Frozen greedy policy for rollout_episode(): on (T, M) slot rows, not
+        one slot, it makes one forward, one decode and one sanitize_action."""
+        return lambda env, states: sanitize_action(
+            self._decode(self._greedy(env.flatten_state(states))))
 
     def sync_target(self) -> None:
         self.targets[...] = self.online

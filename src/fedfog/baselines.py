@@ -1,4 +1,5 @@
-"""Non-learning reference policies and an exact per-slot optimizer.
+"""Non-learning reference policies and an exact per-slot optimizer. Each
+policy decides one slot's state, or (T, M) rows of them in one call.
 
 For a fixed offload set the slot cost splits into two independent problems of
 the form
@@ -28,15 +29,14 @@ ORACLE_MAX_MDS = 12     # 2^M enumeration budget
 
 def local_policy(state: SlotState) -> ActionVector:
     """Every task runs on its own device; no shares are granted."""
-    m = state.num_mds
-    return ActionVector(np.zeros(m, dtype=int), np.zeros(m), np.zeros(m))
+    zero = np.zeros(state.task_bits.shape)
+    return ActionVector(zero.astype(int), zero, zero.copy())
 
 
 def equal_policy(state: SlotState) -> ActionVector:
     """Every task is offloaded and both budgets are split evenly."""
-    m = state.num_mds
-    share = np.full(m, 1.0 / m)
-    return ActionVector(np.ones(m, dtype=int), share, share.copy())
+    share = np.full(state.task_bits.shape, 1.0 / state.num_mds)
+    return ActionVector(np.ones(share.shape, dtype=int), share, share.copy())
 
 
 def closed_form_allocation(weights) -> np.ndarray:
@@ -112,10 +112,13 @@ def oracle_slot_optimum(state: SlotState, fap: FogAccessPoint,
 
 
 def oracle_policy(env, state: SlotState) -> ActionVector:
-    """Per-slot optimum as a rollout policy.
+    """Per-slot optimum as a rollout policy, on one slot or on (T, M) rows.
 
-    The optimal shares are passed through sanitize_action so they respect the
-    environment's share floor; the perturbation is negligible.
+    The optimal shares are passed through sanitize_action (rows in one call)
+    so they respect the share floor; the perturbation is negligible.
     """
-    action, _ = oracle_slot_optimum(state, env.fap, env.config)
-    return sanitize_action(action.to_raw())
+    rows = state.task_bits.shape[:-1]
+    slots = map(SlotState, state.task_bits, state.task_cycles,
+                state.md_positions, state.channel_gains) if rows else [state]
+    raw = [oracle_slot_optimum(s, env.fap, env.config)[0].to_raw() for s in slots]
+    return sanitize_action(np.array(raw).reshape(*rows, -1))

@@ -199,9 +199,9 @@ class DdpgAgent(Agent):
             self.noise_std = max(self.hp.noise_floor,
                                  self.noise_std * self.hp.noise_decay)
 
-    def act(self, state: np.ndarray, explore: bool):
-        """Replay stores the raw actor output; the env gets its decoding."""
-        raw = self.select_action(state, explore)
+    def act(self, state: np.ndarray):
+        """Replay stores the raw explored output; the env gets its decoding."""
+        raw = self.select_action(state, explore=True)
         return raw, sanitize_action(self._decode(raw))
 
     # Bound here as well as inherited: tracing patches per-class attributes.

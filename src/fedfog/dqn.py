@@ -149,9 +149,9 @@ class DqnAgent(Agent):
             return None
         return self.td_update(self.buffer.sample(self.hp.batch_size, self.rng))
 
-    def act(self, state: np.ndarray, explore: bool):
-        """Replay stores the catalog indices; the env gets their decoding."""
-        indices = self.select(state, self.epsilon if explore else 0.0)
+    def act(self, state: np.ndarray):
+        """Replay stores the explored indices; the env gets their decoding."""
+        indices = self.select(state, self.epsilon)
         return indices.astype(float), sanitize_action(self._decode(indices))
 
     # Bound here as well as inherited: tracing patches per-class attributes.

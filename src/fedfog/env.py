@@ -29,8 +29,8 @@ same order on their last axis, and may hold T slots as rows before it. The
 FAP's CPU, bandwidth and position (the cell centre) live in EnvConfig alone.
 Costs, gains and mobility are whole-array expressions, except the gain's
 power and the rate's log2, which run per MD on Python floats through libm
-(see channel_gains). rollout_episode decides a whole episode first, and
-FogCellEnv.play charges it with one slot_cost over (T, M) rows.
+(see channel_gains). rollout_episode decides a whole episode with one policy
+call on (T, M) rows, and FogCellEnv.play charges it with one slot_cost.
 """
 
 from __future__ import annotations
@@ -58,18 +58,19 @@ _FLOOR = EPS_ALLOC - 1e-15
 
 
 class ActionConstraintError(ValueError):
-    """An action violates one of its structural constraints."""
+    """An action violates a structural constraint (in slot `slot`, if set)."""
+
+    slot: int | None = None
 
     def __init__(self, constraint: str, detail: str = ""):
+        super().__init__(constraint, detail)
         self.constraint = constraint
         self.detail = detail
-        msg = constraint if not detail else f"{constraint}: {detail}"
-        super().__init__(msg)
 
-    def in_slot(self, slot: int) -> ActionConstraintError:
-        """The same refusal, naming the slot whose action it refuses."""
-        return ActionConstraintError(self.constraint, ", ".join(
-            filter(None, (f"slot {slot}", self.detail))))
+    def __str__(self) -> str:
+        where = None if self.slot is None else f"slot {self.slot}"
+        detail = ", ".join(filter(None, (where, self.detail)))
+        return f"{self.constraint}: {detail}" if detail else self.constraint
 
 
 class EpisodeOverError(RuntimeError):
@@ -181,7 +182,7 @@ class ActionVector:
         The checks run on the Python floats of tolist(), cheaper at cell
         sizes than numpy calls; the constraint is named once one has failed.
         Rows are checked in one numpy pass, and the first flagged row that
-        fails its own check raises its error (FogCellEnv.play names the slot).
+        fails its own check raises its error, naming row k as slot k.
         """
         if self.offload.ndim > 1:
             return self._validate_rows()
@@ -208,7 +209,11 @@ class ActionVector:
                 & ((shares >= 0.0) & (shares <= 1.0)).all(-1)
                 & ((x == 0) | ((x == 1) & (y >= _FLOOR) & (z >= _FLOOR))).all(-1))
         for k in np.flatnonzero(~fine).tolist():
-            ActionVector(x[k], y[k], z[k]).validate()
+            try:
+                ActionVector(x[k], y[k], z[k]).validate()
+            except ActionConstraintError as err:
+                err.slot = k
+                raise
 
     def _name_violation(self, offload, shares) -> None:
         if not all(x in (0, 1) for x in offload):
@@ -227,9 +232,9 @@ class ActionVector:
                     f"floor={EPS_ALLOC}")
 
     def to_raw(self) -> np.ndarray:
-        """Concatenated [x, y, z] vector in actor output order."""
-        return np.concatenate([self.offload.astype(float),
-                               self.compute_share, self.bandwidth_share])
+        """Concatenated [x, y, z] vector (or rows) in actor output order."""
+        return np.concatenate([self.offload.astype(float), self.compute_share,
+                               self.bandwidth_share], axis=-1)
 
 
 @dataclass
@@ -273,11 +278,11 @@ def slot_cost(state: SlotState, action: ActionVector, fap: FogAccessPoint,
     charged for an offloaded task; FAP-side energy is not part of the model.
     Each row costs what its slot alone does, bit for bit.
     """
-    action.validate()
     if state.num_mds != len(fap.md_cpu_freq):
         raise ActionConstraintError("length mismatch", "state vs fap devices")
     if action.offload.shape != state.task_bits.shape:
         raise ActionConstraintError("length mismatch", "action vs state devices")
+    action.validate()
     cycles = state.task_cycles
     per_delay = cycles / fap.md_cpu_freq
     per_energy = fap.md_energy_coeff * cycles
@@ -322,7 +327,8 @@ def decode_shares(raw: np.ndarray) -> np.ndarray:
 
 
 def sanitize_action(raw: np.ndarray) -> ActionVector:
-    """Project a raw actor output in [0, 1]^(3M) onto the feasible action set.
+    """Project a raw actor output in [0, 1]^(3M) onto the feasible action set;
+    (T, 3M) rows come out bit for bit as T calls would give them.
 
     Offload decisions are thresholded at 0.5. Shares of non-offloaded MDs are
     zeroed; shares of offloaded MDs are floored at EPS_ALLOC and, when a
@@ -330,36 +336,46 @@ def sanitize_action(raw: np.ndarray) -> ActionVector:
     group sums to 1 with every floor kept. The projection is idempotent.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size % 3 != 0 or raw.size == 0:
-        raise ValueError(f"raw action must be a 1-D vector of 3M values, "
+    if raw.ndim not in (1, 2) or raw.shape[-1] % 3 != 0 or raw.shape[-1] == 0:
+        raise ValueError(f"raw action must be 3M values or (T, 3M) rows, "
                          f"got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise ValueError(f"raw action must be finite, got {raw.tolist()}")
-    m = raw.size // 3
-    offload = (raw[:m] > 0.5).astype(int)
-    mask = offload == 1
-    # rows: the compute and the bandwidth group
-    shares = np.where(mask, np.maximum(raw[m:].reshape(2, m), EPS_ALLOC), 0.0)
-    totals = shares.sum(axis=1)
+    m = raw.shape[-1] // 3
+    offload = (raw[..., :m] > 0.5).astype(int)
+    mask = offload[..., None, :] == 1
+    # axis -2: the compute and the bandwidth group; `groups` has one per row
+    shares = np.where(mask, np.maximum(raw[..., m:].reshape(*raw.shape[:-1], 2, m),
+                                       EPS_ALLOC), 0.0)
+    groups = shares.reshape(-1, m)
+    totals = groups.sum(axis=1)
     over = totals > 1.0
     if over.any():
-        k = int(mask.sum())
+        # k offloaded MDs per over-budget group: for one slot Python scalars,
+        # several µs cheaper per DDPG step and oracle slot than numpy arrays
+        if raw.ndim == 1:
+            held, k = mask[0], int(offload.sum())
+            infeasible = [k] if k * EPS_ALLOC >= 1.0 else []
+        else:
+            held = mask.reshape(-1, m).repeat(2, axis=0)[over]
+            k = held.sum(axis=1, keepdims=True)
+            infeasible = k[k * EPS_ALLOC >= 1.0]
+        if len(infeasible):
+            raise ActionConstraintError("infeasible share floor",
+                                        f"{infeasible[0]} offloaded MDs at "
+                                        f"floor {EPS_ALLOC} exceed the budget")
         floor = k * EPS_ALLOC
-        if floor >= 1.0:
-            raise ActionConstraintError(
-                "infeasible share floor",
-                f"{k} offloaded MDs at floor {EPS_ALLOC} exceed the budget")
         # Rescale only the surplus above the floor: the floor survives and
         # the group lands exactly on the unit budget.
-        shares[over] = np.where(mask, EPS_ALLOC + (shares[over] - EPS_ALLOC)
+        groups[over] = np.where(held, EPS_ALLOC + (groups[over] - EPS_ALLOC)
                                 * (1.0 - floor) / (totals[over, None] - floor),
                                 0.0)
-        excess = shares.sum(axis=1) - 1.0
+        excess = groups.sum(axis=1) - 1.0
         while (excess > 0.0).any():   # shave float residue off largest shares
             rows = np.flatnonzero(excess > 0.0)
-            shares[rows, shares[rows].argmax(axis=1)] -= excess[rows]
-            excess = shares.sum(axis=1) - 1.0
-    return ActionVector(offload, shares[0], shares[1])
+            groups[rows, groups[rows].argmax(axis=1)] -= excess[rows]
+            excess = groups.sum(axis=1) - 1.0
+    return ActionVector(offload, shares[..., 0, :], shares[..., 1, :])
 
 
 # config.fap_position / config.cell_side: (side / 2) / side is exactly 0.5
@@ -476,28 +492,18 @@ class FogCellEnv:
         self.state = self._slot(self.t)
         return reward, self.state
 
-    def play(self, actions) -> None:
-        """Charge slots t to T - 1 their `actions` with one slot_cost over
-        the rows; t, state, last_cost and the sums (added in slot order) end
-        as step() calls would leave them. An action step() would refuse
-        raises its step() error, naming its slot, and no slot is charged."""
+    def play(self, actions: ActionVector) -> None:
+        """Charge slots t to T - 1 the (T - t, M) rows of `actions` with one
+        slot_cost; t, state, last_cost and the sums (added in slot order) end
+        as step() calls would leave them. A row step() would refuse raises its
+        step() error naming its slot, and rows of another shape a length
+        mismatch; either way no slot is charged."""
         self._check_open()
-        states = self.trace_states()
-        if len(actions) != len(states.task_bits):
-            raise ValueError(f"{len(actions)} actions for "
-                             f"{len(states.task_bits)} slots left")
         try:
-            rows = slot_cost(states, ActionVector(*map(np.array, zip(*(
-                (a.offload, a.compute_share, a.bandwidth_share)
-                for a in actions)))), self.fap, self.config)
-        except ValueError:
-            # the first slot step() refuses names the error; np.array
-            # refuses rows of unequal widths, which step() also refuses
-            for k, action in enumerate(actions, self.t):
-                try:
-                    slot_cost(self._slot(k), action, self.fap, self.config)
-                except ActionConstraintError as err:
-                    raise err.in_slot(k) from None
+            rows = slot_cost(self.trace_states(), actions, self.fap, self.config)
+        except ActionConstraintError as err:
+            if err.slot is not None:
+                err.slot += self.t
             raise
         m = self.config.mds_per_fap
         r, c, d, e = self._sums
@@ -595,25 +601,13 @@ def _reflect(pos: np.ndarray, side: float) -> np.ndarray:
 
 
 def rollout_episode(env: FogCellEnv, policy):
-    """Run one full episode under `policy(env, state) -> ActionVector` and
+    """Run one full episode under `policy(env, states) -> ActionVector` and
     return its env.episode_metrics().
 
-    All T slots are decided, then env.play() charges them at once. A policy
-    with a plan(env) method decides them in one call after reset(); any
-    other is called per slot, in order, with env.t and env.state set to the
-    slot. It may read those, env.fap and env.config, but not the running
-    sums or last_cost: no slot is charged before the last decision.
+    After reset(), the policy is called once, on the (T, M) rows of
+    env.trace_states(), and env.play() charges the (T, M) actions it returns.
+    It may read env.fap and env.config, not the sums or last_cost.
     """
-    first, steps = env.reset(), env.config.steps_per_episode
-    if hasattr(policy, "plan"):
-        actions = policy.plan(env)
-        if len(actions) != steps:
-            raise ValueError(f"plan(env) gave {len(actions)} actions, not {steps}")
-    else:
-        actions = []
-        for t in range(steps):
-            env.t, env.state = t, env._slot(t)
-            actions.append(policy(env, env.state))
-        env.t, env.state = 0, first
-    env.play(actions)
+    env.reset()
+    env.play(policy(env, env.trace_states()))
     return env.episode_metrics()

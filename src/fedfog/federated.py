@@ -426,8 +426,9 @@ def save_round_checkpoint(path, model: GlobalModel) -> None:
 def load_round_checkpoint(path) -> GlobalModel:
     """Read and check a save_round_checkpoint file. One that is not such a
     file, has another version, is truncated or malformed, lacks a meta key,
-    holds a layout unlike its hash or a value count unlike its layout's size
-    raises ValueError naming `path`."""
+    holds a layout unlike its hash, offsets that do not follow its shapes, a
+    value count unlike its layout's size or bytes after its values raises
+    ValueError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
@@ -453,8 +454,16 @@ def load_round_checkpoint(path) -> GlobalModel:
             raise ValueError(f"{path} lacks checkpoint meta key {key!r}")
     if meta["layout_hash"] != flat.layout_hash():
         raise ValueError(f"{path} does not match its checkpoint layout hash")
-    size = sum(math.prod(shape) for shape in flat.shapes)
+    sizes = [math.prod(shape) for shape in flat.shapes]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    if flat.offsets != offsets:
+        raise ValueError(f"{path} has offsets {flat.offsets}, not the "
+                         f"{offsets} its shapes give")
+    size = sum(sizes)
     if flat.values.size != size:
         raise ValueError(f"{path} holds {flat.values.size} values for a "
                          f"layout of {size}")
+    extra = len(blob) - (20 + hlen + 8 * size)
+    if extra:
+        raise ValueError(f"{path} holds {extra} bytes after its values")
     return GlobalModel(flat, int(meta["round"]), str(meta["agent_kind"]))

@@ -33,8 +33,8 @@ from .federated import (evaluate_global, evaluate_policy, fork_map,
 # trained kind -> learner; fixed kind -> its policy, evaluated as is
 TRAINED_KINDS = {"fed-ddpg": "ddpg", "fed-dqn": "dqn"}
 FIXED_POLICIES = {
-    "local": lambda env, state: local_policy(state),
-    "fap-equal": lambda env, state: equal_policy(state),
+    "local": lambda env, states: local_policy(states),
+    "fap-equal": lambda env, states: equal_policy(states),
     "oracle": oracle_policy,
 }
 ALL_KINDS = (*TRAINED_KINDS, *FIXED_POLICIES)

@@ -228,11 +228,8 @@ def _offload_rate(model, seed):
     policy = agent.policy()
     offloaded = []
     for env in make_eval_envs(DESK, seed):
-        state = env.reset()
-        for _ in range(DESK.steps_per_episode):
-            action = policy(env, state)
-            offloaded.append(action.offload.mean())
-            _, state = env.step(action)
+        env.reset()
+        offloaded.extend(policy(env, env.trace_states()).offload.mean(axis=1))
     return float(np.mean(offloaded))
 
 

@@ -1,8 +1,9 @@
-"""The greedy policy's planned path: one forward over an episode's trace.
+"""The greedy policy: one forward over an episode's rows.
 
-rollout_episode asks a policy with a plan(env) method for all T actions
-right after reset(). Planned and per-slot episodes see the same states, so
-they make the same decisions; the batched forward may round the shares
+rollout_episode calls a policy once, on the (T, M) rows of the episode's
+trace. The greedy policy decides them with one forward, one decode and one
+sanitize_action call. Each row's decision is the one the per-slot greedy
+path takes on its slot; the batched forward may round the shares
 differently in the last bits, which the episode metrics then show.
 """
 
@@ -10,32 +11,13 @@ import numpy as np
 import pytest
 
 from fedfog.dqn import ACTIONS_PER_MD, decode_action
-from fedfog.env import (EnvConfig, FogCellEnv, SlotState, decode_shares,
-                        flatten_state, rollout_episode, sanitize_action)
+from fedfog.env import (ActionConstraintError, ActionVector, EnvConfig,
+                        FogCellEnv, SlotState, decode_shares, flatten_state,
+                        rollout_episode, sanitize_action)
 from fedfog.federated import build_agent
 from fedfog.nn import forward
 
 EPISODES = 10
-
-
-class Recorded:
-    """A policy's actions as rollout_episode takes them, per slot or
-    through the policy's plan."""
-
-    def __init__(self, policy, planned: bool):
-        self.policy = policy
-        self.actions = []
-        if planned:
-            self.plan = self._plan
-
-    def __call__(self, env, state):
-        self.actions.append(self.policy(env, state))
-        return self.actions[-1]
-
-    def _plan(self, env):
-        actions = self.policy.plan(env)
-        self.actions += actions
-        return actions
 
 
 def agent_for(kind: str, m: int):
@@ -58,33 +40,55 @@ def agent_for(kind: str, m: int):
     return cfg, agent
 
 
-class TestPlannedEpisodes:
+def per_slot_greedy(agent, kind: str, state: np.ndarray) -> ActionVector:
+    """The greedy decision on one flat state, through the agent's own
+    one-slot path."""
+    if kind == "ddpg":
+        return sanitize_action(decode_shares(
+            agent.select_action(state, explore=False)))
+    return sanitize_action(decode_action(agent.select(state, 0.0),
+                                         agent.num_mds))
+
+
+class TestOneCallEpisodes:
     @pytest.mark.parametrize("m", [1, 3, 5, 12])
     @pytest.mark.parametrize("kind", ["ddpg", "dqn"])
-    def test_planned_episodes_match_per_slot_ones(self, kind, m, capsys):
+    def test_one_call_matches_per_slot_greedy(self, kind, m, capsys):
         cfg, agent = agent_for(kind, m)
         policy = agent.policy()
-        cells = FogCellEnv(cfg, seed=40 + m), FogCellEnv(cfg, seed=40 + m)
+        cell, stepped = FogCellEnv(cfg, seed=40 + m), FogCellEnv(cfg, seed=40 + m)
         equal, distinct = 0, set()
         for _ in range(EPISODES):
-            runs = [Recorded(policy, planned) for planned in (False, True)]
-            got = [rollout_episode(cell, run) for cell, run in zip(cells, runs)]
-            per_slot, planned = runs
-            assert len(planned.actions) == cfg.steps_per_episode
-            for a, b in zip(per_slot.actions, planned.actions):
-                np.testing.assert_array_equal(a.offload, b.offload)
-                np.testing.assert_allclose(b.compute_share, a.compute_share,
+            calls = []
+
+            def recorded(env, states):
+                calls.append(policy(env, states))
+                return calls[-1]
+
+            got = rollout_episode(cell, recorded)
+            assert len(calls) == 1
+            rows = calls[0]
+            assert rows.offload.shape == (cfg.steps_per_episode, m)
+            state = stepped.reset()
+            for t in range(cfg.steps_per_episode):
+                action = per_slot_greedy(agent, kind,
+                                         stepped.flatten_state(state))
+                np.testing.assert_array_equal(rows.offload[t], action.offload)
+                np.testing.assert_allclose(rows.compute_share[t],
+                                           action.compute_share,
                                            rtol=0.0, atol=1e-12)
-                np.testing.assert_allclose(b.bandwidth_share,
-                                           a.bandwidth_share,
+                np.testing.assert_allclose(rows.bandwidth_share[t],
+                                           action.bandwidth_share,
                                            rtol=0.0, atol=1e-12)
-                distinct.add(a.to_raw().tobytes())
-            np.testing.assert_allclose(got[1], got[0], rtol=1e-12)
-            equal += got[0] == got[1]
+                distinct.add(action.to_raw().tobytes())
+                _, state = stepped.step(action)
+            want = stepped.episode_metrics()
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+            equal += got == want
         # the decisions change from slot to slot
         assert len(distinct) > 1
         with capsys.disabled():
-            print(f"\n[planned {kind} M={m}] {equal} of {EPISODES} episodes "
+            print(f"\n[one call {kind} M={m}] {equal} of {EPISODES} episodes "
                   f"have bit-equal metrics", end="")
 
 
@@ -136,28 +140,45 @@ class TestBatchedHelpers:
 
 
 class TestRollout:
-    def test_plain_callable_is_called_once_per_slot(self):
+    def test_policy_is_called_once_on_the_trace_rows(self):
         cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=7)
         env = FogCellEnv(cfg, seed=2)
         seen = []
 
-        def policy(e, state):
-            assert e is env and state is env.state
-            seen.append(e.t)
-            return sanitize_action(np.zeros(9))
+        def policy(e, states):
+            assert e is env and e.t == 0 and e.last_cost is None
+            seen.append(states)
+            return sanitize_action(np.zeros((7, 9)))
 
         rollout_episode(env, policy)
-        assert seen == list(range(7))
+        assert len(seen) == 1 and isinstance(seen[0], SlotState)
+        env.reset(seed=2)
+        trace = env.trace_states()
+        assert seen[0].task_bits.shape == (7, 3)
+        for name, rows in vars(seen[0]).items():
+            assert rows.tobytes() == getattr(trace, name).tobytes()
 
-    @pytest.mark.parametrize("copies,want", [(0, 0), (1, 6), (2, 12)])
-    def test_plan_of_wrong_length_refused(self, copies, want):
+    @pytest.mark.parametrize("want", [0, 6, 8, 12, "one slot", "wider",
+                                      "ragged"])
+    def test_actions_not_one_row_per_slot_refused_whole(self, want):
         cfg = EnvConfig(num_faps=1, mds_per_fap=3, steps_per_episode=7)
         greedy = build_agent("ddpg", cfg, seed=0).policy()
 
-        def policy(env, state):
-            raise AssertionError("a planned episode calls no slot policy")
+        def policy(env, states):
+            x, y, z = vars(greedy(env, states)).values()
+            if want == "one slot":      # one slot's action for all 7
+                return ActionVector(x[0], y[0], z[0])
+            if want == "wider":         # rows for a cell of 4 MDs
+                return ActionVector(*(np.pad(v, ((0, 0), (0, 1)))
+                                      for v in (x, y, z)))
+            if want == "ragged":        # compute shares for 2 MDs
+                return ActionVector(x, y[:, :2], z)
+            return ActionVector(*(np.concatenate([v, v])[:want]
+                                  for v in (x, y, z)))
 
-        policy.plan = lambda env: (greedy.plan(env) * copies)[:want]
-        with pytest.raises(ValueError,
-                           match=rf"^plan\(env\) gave {want} actions, not 7$"):
-            rollout_episode(FogCellEnv(cfg, seed=1), policy)
+        env = FogCellEnv(cfg, seed=1)
+        with pytest.raises(ActionConstraintError,
+                           match="^length mismatch: ") as err:
+            rollout_episode(env, policy)
+        assert err.value.slot is None
+        assert env.t == 0 and env.last_cost is None

@@ -264,6 +264,26 @@ class TestOracleSlotOptimum:
             _, state = env.step(act)
 
 
+class TestRowPolicies:
+    @pytest.mark.parametrize("m", [1, 3, 5, 12])
+    @pytest.mark.parametrize("name", ["local", "equal", "oracle"])
+    def test_rows_equal_one_slot_calls(self, name, m):
+        cfg = EnvConfig(num_faps=1, mds_per_fap=m, steps_per_episode=20)
+        env = FogCellEnv(cfg, seed=m)
+        env.reset()
+        policy = {"local": lambda e, s: local_policy(s),
+                  "equal": lambda e, s: equal_policy(s),
+                  "oracle": oracle_policy}[name]
+        rows = policy(env, env.trace_states())
+        assert rows.offload.shape == (20, m)
+        for t in range(20):
+            one = policy(env, env._slot(t))
+            for field, got in vars(rows).items():
+                want = getattr(one, field)
+                assert got[t].dtype == want.dtype
+                assert got[t].tobytes() == want.tobytes()
+
+
 class TestSimplexGridHelpers:
     def test_grid_points_lie_on_simplex(self):
         pts = list(simplex_grid(3, step=0.2))

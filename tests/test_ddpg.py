@@ -157,10 +157,16 @@ class TestDecodeShares:
         s = env.flatten_state(state)
         raw = agent.select_action(s, explore=False)
         want = sanitize_action(decode_shares(raw))
-        got = agent.policy()(env, state)
-        np.testing.assert_array_equal(got.to_raw(), want.to_raw())
+        one = agent.policy()(env, env._slot(slice(0, 1)))
+        np.testing.assert_array_equal(one.to_raw()[0], want.to_raw())
+        got = agent.policy()(env, env.trace_states())
+        assert got.offload.shape == (cfg.steps_per_episode, cfg.mds_per_fap)
+        np.testing.assert_array_equal(got.offload[0], want.offload)
+        np.testing.assert_allclose(got.to_raw()[0], want.to_raw(),
+                                   rtol=0.0, atol=1e-12)
         assert got.offload.all()
-        assert got.compute_share.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(got.compute_share.sum(axis=1), 1.0,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestShareFeatures:
@@ -458,12 +464,11 @@ class TestTrainingLoop:
         offloaded = total = 0
         eval_env = FogCellEnv(cfg, seed=6)
         for ep in range(4):
-            state = eval_env.reset()
-            for _ in range(cfg.steps_per_episode):
-                act = policy(eval_env, state)
-                offloaded += int(act.offload[0])
-                total += 1
-                _, state = eval_env.step(act)
+            eval_env.reset()
+            act = policy(eval_env, eval_env.trace_states())
+            offloaded += int(act.offload.sum())
+            total += act.offload.size
+        assert total == 4 * cfg.steps_per_episode
         assert offloaded / total >= 0.95
 
 

@@ -344,7 +344,7 @@ class TestSlotCost:
         assert rows.cost[1] == slot_cost(env._slot(1), near, env.fap, cfg).cost
         over = ActionVector(np.ones(2, dtype=int), outside, even.bandwidth_share)
         with pytest.raises(ActionConstraintError,
-                           match=r"^sum\(compute_share\) > 1: sum="):
+                           match=r"^sum\(compute_share\) > 1: slot 2, sum="):
             slot_cost(env.trace_states(), as_rows([even, near, over]),
                       env.fap, cfg)
 
@@ -388,6 +388,63 @@ class TestSanitize:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="3M"):
             sanitize_action(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 2), (3, 0), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(T, 3M\) rows"):
+            sanitize_action(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 12])
+    def test_rows_equal_one_row_calls(self, m):
+        rng = np.random.default_rng(m)
+        raw = rng.uniform(0.0, 1.0, size=(400, 3 * m))
+        raw[::3, m:] *= 4.0                 # share groups over budget
+        raw[::5, m:] *= 1e-3                # shares below the floor
+        raw[::7, :m] = 1.0                  # every MD offloaded
+        raw[::11, :m] = 0.0                 # every MD local
+        rows = sanitize_action(raw)
+        assert rows.offload.shape == rows.compute_share.shape == (400, m)
+        for k, one in enumerate(map(sanitize_action, raw)):
+            for name, got in vars(rows).items():
+                want = getattr(one, name)
+                assert got[k].dtype == want.dtype
+                assert got[k].tobytes() == want.tobytes()
+        # the rescale ran on some rows, and left others alone
+        assert np.isclose(rows.compute_share.sum(axis=1), 1.0).any()
+        assert (rows.compute_share.sum(axis=1) < 0.99).any()
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=12,
+                    max_size=36).filter(lambda v: len(v) % 12 == 0))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_idempotent_and_feasible(self, raw):
+        raw = np.array(raw).reshape(-1, 6)
+        rows = sanitize_action(raw)
+        rows.validate()
+        again = sanitize_action(rows.to_raw())
+        assert np.array_equal(rows.offload, again.offload)
+        np.testing.assert_allclose(again.to_raw(), rows.to_raw(), atol=1e-12)
+        # to_raw keeps each row's [x, y, z] order
+        for r, one in zip(raw, rows.to_raw()):
+            assert one.tobytes() == sanitize_action(r).to_raw().tobytes()
+
+    def test_infeasible_floor_raised_for_its_first_row(self):
+        m = 1001
+        raw = np.full((4, 3 * m), 0.9)
+        raw[0, :m] = 0.0                    # all local
+        raw[1, :m - 1] = 0.0                # one MD offloaded
+        raw[2, :m - 999] = 0.0              # 999 at the floor fit
+        # row 3: 1001 offloaded MDs cannot all keep the floor
+        with pytest.raises(ActionConstraintError) as want:
+            sanitize_action(raw[3])
+        assert want.value.constraint == "infeasible share floor"
+        assert str(want.value).startswith("infeasible share floor: 1001 ")
+        for row in raw[:3]:
+            sanitize_action(row).validate()
+        more = np.vstack([raw, raw[3]])
+        more[4, :1] = 0.0                   # 1000 offloaded: also infeasible
+        with pytest.raises(ActionConstraintError) as got:
+            sanitize_action(more)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("at", [0, 3, 5])
@@ -725,14 +782,15 @@ class TestEpisodeTrace:
         assert env.episode_metrics()[1] == env.last_cost.cost
 
 
-def slot_policy(name: str, m: int):
-    """A fresh per-slot policy; the random one draws from its own stream."""
+def policy_for(name: str, m: int):
+    """A fresh policy that decides one slot or (T, M) rows alike; the random
+    one draws each slot's raw action from its own stream, in slot order."""
     rng = np.random.default_rng(m)
     return {"local": lambda env, state: baselines.local_policy(state),
             "equal": lambda env, state: baselines.equal_policy(state),
             "oracle": baselines.oracle_policy,
-            "random": lambda env, state: sanitize_action(
-                rng.uniform(0.0, 1.0, 3 * m))}[name]
+            "random": lambda env, state: sanitize_action(rng.uniform(
+                0.0, 1.0, state.task_bits.shape[:-1] + (3 * m,)))}[name]
 
 
 def step_through(cell, policy, first=0):
@@ -748,8 +806,9 @@ def end_of_episode(cell):
 
 
 class TestWholeEpisodeCharge:
-    """rollout_episode decides every slot, then play() charges them with one
-    slot_cost over the rows; episodes end as the step() loop leaves them."""
+    """rollout_episode decides every slot with one policy call on the
+    trace's rows, then play() charges them with one slot_cost; episodes end
+    as the step() loop leaves them."""
 
     @pytest.mark.parametrize("name", ["local", "equal", "oracle", "random"])
     @pytest.mark.parametrize("m", [1, 3, 5, 12])
@@ -758,7 +817,7 @@ class TestWholeEpisodeCharge:
         runs = []
         for cell in (FogCellEnv(cfg, seed=m), FogCellEnv(cfg, seed=m),
                      ReferenceCell(cfg, seed=m)):
-            policy = slot_policy(name, m)
+            policy = policy_for(name, m)
             seen = []
             for _ in range(3):
                 if not runs:
@@ -777,55 +836,46 @@ class TestWholeEpisodeCharge:
         for whole in (True, False):
             cell = FogCellEnv(cfg, seed=played)
             cell.reset()
-            policy = slot_policy("random", 3)
+            policy = policy_for("random", 3)
             step_through(cell, policy, cfg.steps_per_episode - played)
-            actions = [policy(cell, cell._slot(t))
-                       for t in range(cell.t, cfg.steps_per_episode)]
             if whole:
-                cell.play(actions)
+                cell.play(policy(cell, cell.trace_states()))
             else:
-                for action in actions:
-                    cell.step(action)
+                step_through(cell, policy, played)
             runs.append(end_of_episode(cell))
         assert runs[0] == runs[1]
         with pytest.raises(EpisodeOverError, match="episode is over"):
-            cell.play([])
+            cell.play(baselines.equal_policy(cell.trace_states()))
 
-    @pytest.mark.parametrize("planned", [False, True])
     @pytest.mark.parametrize("slot", [0, 17, 49])
-    @pytest.mark.parametrize("action, constraint",
-                             BAD_ACTIONS + [(([1] * 3, [0.3] * 3, [0.3] * 3),
-                                             "length mismatch")],
-                             ids=BAD_ACTION_IDS + ["cell-size"])
+    @pytest.mark.parametrize("action, constraint", BAD_ACTIONS[1:],
+                             ids=BAD_ACTION_IDS[1:])
     def test_bad_action_in_a_slot_raises_its_step_error(
-            self, action, constraint, slot, planned):
+            self, action, constraint, slot):
         cfg = EnvConfig(num_faps=1, mds_per_fap=2)
         bad = ActionVector(*(np.array(v) for v in action))
 
-        def policy(env, state):
+        def per_slot(env, state):
             return bad if env.t == slot else baselines.equal_policy(state)
 
         stepped = FogCellEnv(cfg, seed=slot)
         stepped.reset()
         with pytest.raises(ActionConstraintError) as want:
-            step_through(stepped, policy)
+            step_through(stepped, per_slot)
         assert want.value.constraint == constraint and stepped.t == slot
-        if planned:
-            def per_slot(env, state):
-                raise AssertionError("a planned episode calls no slot policy")
 
-            per_slot.plan = lambda env: [bad if t == slot else
-                                         baselines.equal_policy(env._slot(t))
-                                         for t in range(cfg.steps_per_episode)]
-            played = per_slot
-        else:
-            played = policy
+        def rows(env, states):
+            return as_rows([bad if t == slot else
+                            baselines.equal_policy(env._slot(t))
+                            for t in range(cfg.steps_per_episode)])
+
         cell = FogCellEnv(cfg, seed=slot)
         with pytest.raises(ActionConstraintError) as got:
-            rollout_episode(cell, played)
+            rollout_episode(cell, rows)
         assert got.value.constraint == constraint
-        assert str(got.value) == str(want.value.in_slot(slot))
         assert f"slot {slot}" in str(got.value)
+        want.value.slot = slot
+        assert str(got.value) == str(want.value)
         # nothing was charged
         assert cell.t == 0 and cell.last_cost is None
         with pytest.raises(RuntimeError, match="no slot has been played"):
@@ -844,10 +894,41 @@ class TestWholeEpisodeCharge:
         actions[2] = bad
         with pytest.raises(ActionConstraintError,
                            match=r"^sum\(compute_share\) > 1: slot 5, sum="):
-            cell.play(actions)
+            cell.play(as_rows(actions))
         assert cell.t == 3 and cell.episode_metrics() == sums
-        with pytest.raises(ValueError, match="^4 actions for 5 slots left$"):
-            cell.play(actions[:4])
+        with pytest.raises(ActionConstraintError,
+                           match="^length mismatch: action vs state devices$"):
+            cell.play(as_rows(actions[:4]))
+        assert cell.t == 3 and cell.episode_metrics() == sums
+
+    @pytest.mark.parametrize("action, constraint", BAD_ACTIONS[1:],
+                             ids=BAD_ACTION_IDS[1:])
+    def test_first_bad_row_raises_as_the_step_loop_does(self, action,
+                                                        constraint):
+        # A later row breaks a constraint that validate() checks earlier,
+        # so a check made constraint by constraint over all rows would
+        # name the wrong slot.
+        later = BAD_ACTIONS[-1 if constraint == "offload not binary" else 1]
+        bad, worse = (ActionVector(*(np.array(v) for v in a[0]))
+                      for a in ((action, constraint), later))
+        actions = [all_offloaded(2)] * 5
+        actions[2], actions[4] = bad, worse
+        cfg = EnvConfig(num_faps=1, mds_per_fap=2, steps_per_episode=8)
+        stepped, cell = FogCellEnv(cfg, seed=2), FogCellEnv(cfg, seed=2)
+        for env in (stepped, cell):
+            env.reset()
+            for _ in range(3):
+                env.step(all_offloaded(2))
+        sums = cell.episode_metrics()
+        with pytest.raises(ActionConstraintError) as want:
+            for a in actions:
+                stepped.step(a)
+        assert want.value.constraint == constraint and stepped.t == 5
+        with pytest.raises(ActionConstraintError) as got:
+            cell.play(as_rows(actions))
+        want.value.slot = 5
+        assert str(got.value) == str(want.value)
+        assert cell.t == 3 and cell.episode_metrics() == sums
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_trace_states_count_devices(self, m):

@@ -706,6 +706,38 @@ class TestCheckpoints:
             load_round_checkpoint(path)
         assert str(exc.value).startswith(f"{path} ")
 
+    def test_bytes_after_the_values_refused(self, tmp_path):
+        flat = build_agent("ddpg", EnvConfig(), 0,
+                           DdpgHyperParams(hidden=(8, 4))).export_weights()
+        path = tmp_path / "model.ckpt"
+        write_checkpoint_bytes(path, flat, meta={
+            "round": 1, "agent_kind": "ddpg",
+            "layout_hash": flat.layout_hash()})
+        assert load_round_checkpoint(path).weights.values.size == 482
+        path.write_bytes(path.read_bytes() + bytes(40))
+        with pytest.raises(ValueError, match="40 bytes after its values") \
+                as exc:
+            load_round_checkpoint(path)
+        assert str(exc.value).startswith(f"{path} ")
+
+    @pytest.mark.parametrize("offsets", ["zeros", "shifted", "one short"])
+    def test_offsets_unlike_the_shapes_refused(self, tmp_path, offsets):
+        flat = build_agent("ddpg", EnvConfig(), 0,
+                           DdpgHyperParams(hidden=(8, 4))).export_weights()
+        bad = {"zeros": [0] * len(flat.offsets),
+               "shifted": [0] + [o + 1 for o in flat.offsets[1:]],
+               "one short": flat.offsets[:-1]}[offsets]
+        moved = FlatWeights(flat.values, flat.shapes, bad, flat.activations)
+        path = tmp_path / "model.ckpt"
+        # the layout hash is computed over the bad offsets, so only the
+        # offsets themselves can give the file away
+        write_checkpoint_bytes(path, moved, meta={
+            "round": 1, "agent_kind": "ddpg",
+            "layout_hash": moved.layout_hash()})
+        with pytest.raises(ValueError, match="its shapes give") as exc:
+            load_round_checkpoint(path)
+        assert str(exc.value).startswith(f"{path} has offsets {bad}, not ")
+
     def test_version_1_file_refused(self, tmp_path):
         rng = np.random.default_rng(16)
         model = GlobalModel(flatten_mlp(init_mlp(rng, [3, 4, 2], "linear")),
